@@ -11,8 +11,8 @@ cargo test --workspace -q --offline
 # regression is named in CI output.
 cargo test -q --offline --test chaos
 cargo test -q --offline --test storage_chaos
-cargo test -q --offline --test colstore
 cargo test -q --offline --test crash_resume
+cargo test -q --offline --test record_fuzz
 cargo test -q --offline --test serve
 cargo test -q --offline --test parallel_equivalence
 cargo test -q --offline --test hotpath_equivalence

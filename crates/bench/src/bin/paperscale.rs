@@ -1,16 +1,15 @@
 //! Paper-scale out-of-core benchmark: generates the three suites at the
-//! paper's HuggingFace scale as *block streams*, commits them to a
-//! columnar invocation store, and runs the streamed ground-truth executor
-//! from both the generator and the store — recording wall time and peak
-//! RSS (`VmHWM`) per section so the flat-memory claim is machine-checkable.
+//! paper's HuggingFace scale as *block streams* and runs the streamed
+//! ground-truth executor straight off the generators — recording wall
+//! time and peak RSS (`VmHWM`) per section so the flat-memory claim is
+//! machine-checkable.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p stem-bench --release --bin paperscale -- \
 //!     [--hf-scale 1.0] [--seed 2025] [--threads 1,4] \
-//!     [--mode streamed|in-memory] [--store-dir target/paperscale_store] \
-//!     [--out BENCH_paperscale.json]
+//!     [--mode streamed|in-memory] [--out BENCH_paperscale.json]
 //! ```
 //!
 //! `--mode streamed` (default) never materializes a workload: every
@@ -20,17 +19,16 @@
 //! process* to get the before/after peak-RSS comparison, since `VmHWM`
 //! is process-wide and monotonic.
 //!
-//! The bin asserts the streamed totals are bit-identical between the
-//! generate path and the store path at every thread count (and, in
-//! in-memory mode, identical to the reference), so the benchmark doubles
-//! as a paper-scale equivalence gate.
+//! The bin asserts the streamed totals are bit-identical at every thread
+//! count (and, in in-memory mode, identical to the reference), so the
+//! benchmark doubles as a paper-scale equivalence gate.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use gpu_workload::suites::HuggingfaceScale;
-use gpu_workload::{StoreWriter, SuiteKind, WorkloadSource, DEFAULT_BLOCK_LEN};
+use gpu_workload::{SuiteKind, DEFAULT_BLOCK_LEN};
 use stem_bench::harness::ExperimentOptions;
 use stem_bench::memuse::peak_rss_kb;
 use stem_core::{SnapshotError, StemConfig, StemError};
@@ -64,7 +62,6 @@ struct Args {
     seed: u64,
     threads: Vec<usize>,
     mode: String,
-    store_dir: PathBuf,
     out: String,
 }
 
@@ -74,7 +71,6 @@ fn parse_args() -> Result<Args, StemError> {
         seed: 2025,
         threads: vec![1, 4],
         mode: "streamed".to_string(),
-        store_dir: PathBuf::from("target/paperscale_store"),
         out: "BENCH_paperscale.json".to_string(),
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -125,7 +121,6 @@ fn parse_args() -> Result<Args, StemError> {
                 }
                 parsed.mode = raw.to_string();
             }
-            "--store-dir" => parsed.store_dir = PathBuf::from(need(i)?),
             "--out" => parsed.out = need(i)?.to_string(),
             other => {
                 return Err(StemError::InvalidConfig(format!("unknown option {other}")));
@@ -138,10 +133,6 @@ fn parse_args() -> Result<Args, StemError> {
 
 fn ground_truth(e: impl std::fmt::Display) -> StemError {
     StemError::GroundTruth(e.to_string())
-}
-
-fn store_dir_for(root: &Path, suite: &str, source: &WorkloadSource) -> PathBuf {
-    root.join(suite).join(source.name())
 }
 
 fn log_section(s: &Section) {
@@ -157,38 +148,13 @@ fn log_section(s: &Section) {
 
 fn run_streamed(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section>, StemError> {
     let sim = options.simulator();
-    let storage = RealFs;
     let mut sections = Vec::new();
 
     for (kind, suite_name) in SUITES {
         let sources = options.suite_sources(kind);
 
-        // Section 1: stream-generate into the columnar store. No workload
-        // is ever materialized; the writer holds one block at a time.
-        let t = Instant::now();
-        let mut written = 0_u64;
-        for source in &sources {
-            let dir = store_dir_for(&args.store_dir, suite_name, source);
-            let mut writer = StoreWriter::create(&storage, &dir, DEFAULT_BLOCK_LEN)
-                .map_err(ground_truth)?;
-            let summary = source
-                .stream(&mut writer, DEFAULT_BLOCK_LEN)
-                .map_err(ground_truth)?;
-            writer.finish(&summary).map_err(ground_truth)?;
-            written += summary.invocations;
-        }
-        let s = Section {
-            name: format!("{suite_name}/colstore_write"),
-            threads: 1,
-            wall_ns: t.elapsed().as_nanos(),
-            units: written,
-            peak_rss_kb: peak_rss_kb(),
-        };
-        log_section(&s);
-        sections.push(s);
-
-        // Sections 2..: streamed ground truth from the generator and from
-        // the store, at each thread count, cross-checked bitwise.
+        // Streamed ground truth from the generators at each thread count,
+        // cross-checked bitwise across thread counts.
         let mut reference_bits: Option<Vec<u64>> = None;
         for &threads in &args.threads {
             let par = stem_par::Parallelism::with_threads(threads);
@@ -218,36 +184,6 @@ fn run_streamed(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section>
             log_section(&s);
             sections.push(s);
 
-            let t = Instant::now();
-            let mut store_totals = Vec::with_capacity(sources.len());
-            let mut units = 0_u64;
-            for source in &sources {
-                let dir = store_dir_for(&args.store_dir, suite_name, source);
-                let total = gpu_sim::store_total(
-                    &sim,
-                    par,
-                    &storage,
-                    &dir,
-                    gpu_sim::DEFAULT_CHANNEL_BLOCKS,
-                )
-                .map_err(ground_truth)?;
-                units += total.invocations;
-                store_totals.push(total.total_cycles.to_bits());
-            }
-            let s = Section {
-                name: format!("{suite_name}/ground_truth_stream_store"),
-                threads,
-                wall_ns: t.elapsed().as_nanos(),
-                units,
-                peak_rss_kb: peak_rss_kb(),
-            };
-            log_section(&s);
-            sections.push(s);
-
-            assert_eq!(
-                gen_totals, store_totals,
-                "{suite_name}: store path diverged from generate path at {threads} threads"
-            );
             match &reference_bits {
                 None => reference_bits = Some(gen_totals),
                 Some(reference) => assert_eq!(
@@ -331,13 +267,8 @@ fn run() -> Result<(), StemError> {
     options.stem_config = StemConfig::paper();
 
     eprintln!(
-        "paperscale: mode={} hf_scale={} seed={} threads={:?} block_len={} store={}",
-        args.mode,
-        args.hf_scale,
-        args.seed,
-        args.threads,
-        DEFAULT_BLOCK_LEN,
-        args.store_dir.display()
+        "paperscale: mode={} hf_scale={} seed={} threads={:?} block_len={}",
+        args.mode, args.hf_scale, args.seed, args.threads, DEFAULT_BLOCK_LEN,
     );
 
     let wall = Instant::now();

@@ -26,6 +26,9 @@
 //! checksum 9d41a2...           ; FNV-1a 64 over everything above
 //! ```
 //!
+//! The header, fingerprint and checksum lines are the shared envelope of
+//! [`stem_storage::record`], which the serve journal uses too.
+//!
 //! `f64` fields are stored as `to_bits()` hex so the round-trip is exact
 //! — a resumed summary must not differ in the last ulp. The fingerprint
 //! hashes the sampler name, repetition count, base seed, GPU config, and
@@ -59,74 +62,12 @@ use crate::sampler::KernelSampler;
 use gpu_sim::SimCache;
 use gpu_workload::Workload;
 use stem_par::{supervised_map_indexed, ExecLog, Parallelism, TaskFailure};
-use stem_storage::{Storage, StorageError};
+pub use stem_storage::record::SnapshotError;
+use stem_storage::record::{self, fnv1a64};
+use stem_storage::Storage;
 
-/// First token of the snapshot header; the version tag follows it.
-const HEADER_PREFIX: &str = "STEM-CAMPAIGN-SNAPSHOT";
 /// The exact header this version writes and accepts.
 const HEADER: &str = "STEM-CAMPAIGN-SNAPSHOT v1";
-
-/// Why a snapshot was rejected (and quarantined) or could not be written.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Storage failure, with the operation and path that failed (the
-    /// underlying `io::Error` is not `Clone`, so [`StorageError`] keeps
-    /// its kind and text instead).
-    Io(StorageError),
-    /// The file does not start with the snapshot header.
-    MissingHeader,
-    /// The header names a version this build does not understand.
-    VersionMismatch {
-        /// The header line as found.
-        found: String,
-    },
-    /// The snapshot belongs to a different campaign (sampler, seed,
-    /// repetition count, GPU config, or workload list differ).
-    FingerprintMismatch,
-    /// The body does not hash to the recorded checksum.
-    ChecksumMismatch,
-    /// A line violates the snapshot grammar.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::MissingHeader => f.write_str("missing snapshot header"),
-            SnapshotError::VersionMismatch { found } => {
-                write!(f, "unsupported snapshot version: {found:?} (expected {HEADER:?})")
-            }
-            SnapshotError::FingerprintMismatch => {
-                f.write_str("snapshot belongs to a different campaign")
-            }
-            SnapshotError::ChecksumMismatch => f.write_str("snapshot checksum mismatch"),
-            SnapshotError::Malformed { line, message } => {
-                write!(f, "malformed snapshot at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StorageError> for SnapshotError {
-    fn from(e: StorageError) -> Self {
-        SnapshotError::Io(e)
-    }
-}
 
 /// A rejected snapshot, set aside rather than deleted so the evidence
 /// survives for inspection.
@@ -162,28 +103,20 @@ pub struct CampaignReport {
 /// One persisted unit: the numeric fields of an [`EvalResult`] (the
 /// strings are reproducible from the sampler and workload list).
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct UnitRecord {
-    error_pct: f64,
-    speedup: f64,
-    num_samples: usize,
-    predicted_error_pct: f64,
+pub struct UnitRecord {
+    /// Measured error of the unit's sampled run, percent.
+    pub error_pct: f64,
+    /// Simulation speedup of the unit's sampled run.
+    pub speedup: f64,
+    /// Samples the unit's plan selected.
+    pub num_samples: usize,
+    /// The plan's predicted error bound, percent.
+    pub predicted_error_pct: f64,
 }
 
-/// FNV-1a 64 — the workspace's std-only integrity hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Serializes the snapshot body and appends its checksum line.
+/// Serializes the snapshot body and seals it with its checksum line.
 fn serialize_snapshot(fingerprint: u64, units: &BTreeMap<u64, UnitRecord>) -> String {
     let mut body = String::new();
-    let _ = writeln!(body, "{HEADER}");
-    let _ = writeln!(body, "fingerprint {fingerprint:016x}");
     for (index, rec) in units {
         let _ = writeln!(
             body,
@@ -194,9 +127,7 @@ fn serialize_snapshot(fingerprint: u64, units: &BTreeMap<u64, UnitRecord>) -> St
             rec.predicted_error_pct.to_bits(),
         );
     }
-    let checksum = fnv1a64(body.as_bytes());
-    let _ = writeln!(body, "checksum {checksum:016x}");
-    body
+    record::seal(HEADER, fingerprint, &body)
 }
 
 /// Parses one `unit` line's payload (everything after the keyword).
@@ -226,73 +157,31 @@ fn parse_unit_fields(rest: &str, line: usize) -> Result<(u64, UnitRecord), Snaps
     ))
 }
 
-/// Parses and integrity-checks a snapshot. Returns the recorded
+/// Parses and integrity-checks a snapshot (header, version, checksum,
+/// grammar — see [`stem_storage::record`]). Returns the recorded
 /// fingerprint and the unit map; any deviation is a typed rejection.
-fn parse_snapshot(text: &str) -> Result<(u64, BTreeMap<u64, UnitRecord>), SnapshotError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    if header != HEADER {
-        if header.starts_with(HEADER_PREFIX) {
-            return Err(SnapshotError::VersionMismatch { found: header.to_string() });
-        }
-        return Err(SnapshotError::MissingHeader);
-    }
-
-    // Verify the checksum before believing any line: the last line must be
-    // `checksum <hex>` and must hash the whole body above it.
-    let Some(tail) = text.lines().next_back() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    let Some(recorded) = tail.strip_prefix("checksum ") else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    let recorded =
-        u64::from_str_radix(recorded.trim(), 16).map_err(|_| SnapshotError::ChecksumMismatch)?;
-    let Some(body_len) = text.len().checked_sub(tail.len() + 1) else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    if fnv1a64(text[..body_len].as_bytes()) != recorded {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut fingerprint = None;
+///
+/// # Errors
+///
+/// The [`SnapshotError`] naming the first check the text fails.
+pub fn parse_snapshot(text: &str) -> Result<(u64, BTreeMap<u64, UnitRecord>), SnapshotError> {
     let mut units = BTreeMap::new();
-    for (i, line) in lines {
-        let lineno = i + 1;
-        if line == tail && fingerprint.is_some() {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("fingerprint ") {
-            let fp = u64::from_str_radix(rest.trim(), 16).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("bad fingerprint {rest:?}"),
-                }
-            })?;
-            fingerprint = Some(fp);
-        } else if let Some(rest) = line.strip_prefix("unit ") {
-            let (index, rec) = parse_unit_fields(rest, lineno)?;
-            if units.insert(index, rec).is_some() {
-                return Err(SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("duplicate unit {index}"),
-                });
-            }
-        } else {
+    let fingerprint = record::open(text, HEADER, |lineno, line| {
+        let Some(rest) = line.strip_prefix("unit ") else {
             return Err(SnapshotError::Malformed {
                 line: lineno,
                 message: format!("unrecognized line {line:?}"),
             });
+        };
+        let (index, rec) = parse_unit_fields(rest, lineno)?;
+        if units.insert(index, rec).is_some() {
+            return Err(SnapshotError::Malformed {
+                line: lineno,
+                message: format!("duplicate unit {index}"),
+            });
         }
-    }
-    let Some(fingerprint) = fingerprint else {
-        return Err(SnapshotError::Malformed {
-            line: 2,
-            message: "missing fingerprint line".to_string(),
-        });
-    };
+        Ok(())
+    })?;
     Ok((fingerprint, units))
 }
 

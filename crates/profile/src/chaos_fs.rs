@@ -326,10 +326,6 @@ impl Storage for FaultFs {
         RealFs.read_to_string(path)
     }
 
-    fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
-        RealFs.read_bytes(path)
-    }
-
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         let (index, crash) = self.begin(StorageOp::Write, path)?;
         if crash {

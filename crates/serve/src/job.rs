@@ -1,11 +1,8 @@
 //! Job model: what a tenant submits, and what the daemon knows about it.
 
-use std::path::PathBuf;
-
 use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
 use gpu_workload::Workload;
 use stem_core::StemError;
-use stem_storage::{RealFs, Storage};
 
 /// The HuggingFace suite is scaled down for service jobs so a single
 /// `SUBMIT` stays interactive; the scale is part of the job identity
@@ -55,21 +52,6 @@ impl SuiteId {
     }
 }
 
-/// A pre-materialized on-disk columnar invocation store
-/// (`gpu_workload::colstore`) a job draws its workload from instead of
-/// materializing a suite. The expected fingerprint is part of the job
-/// identity: admission verifies it against the store manifest, and
-/// dispatch re-verifies the streamed bytes, so a swapped or corrupted
-/// store is a typed rejection — never wrong cycles under a stale name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreRef {
-    /// Store directory (holds `manifest.txt` plus `block-NNNNN.col`).
-    pub path: PathBuf,
-    /// The `Workload::fingerprint` the client expects the store to
-    /// stream.
-    pub fingerprint: u64,
-}
-
 /// One accepted unit of service work: a single-workload campaign. The
 /// spec is pure data — everything needed to (re)materialize the campaign
 /// after a daemon restart, which is exactly what the journal persists.
@@ -95,10 +77,6 @@ pub struct JobSpec {
     /// persists it so a restarted daemon resumes the campaign under the
     /// same method.
     pub sampler: String,
-    /// When set, the workload streams from this pre-materialized store
-    /// instead of `suite`/`suite_seed`/`workload_index` (those fields
-    /// remain part of the job identity but are not materialized).
-    pub store: Option<StoreRef>,
 }
 
 /// True for tokens safe to embed in one-line plain-text records: tenant
@@ -107,12 +85,6 @@ pub(crate) fn valid_token(s: &str) -> bool {
     !s.is_empty()
         && s.len() <= 64
         && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
-}
-
-/// True for store paths safe to embed in one-line whitespace-split
-/// records (the journal and the protocol): printable ASCII, no spaces.
-pub(crate) fn valid_path_token(s: &str) -> bool {
-    !s.is_empty() && s.len() <= 256 && s.chars().all(|c| c.is_ascii_graphic())
 }
 
 impl JobSpec {
@@ -141,57 +113,18 @@ impl JobSpec {
                 self.sampler
             )));
         }
-        if let Some(store) = &self.store {
-            if !store.path.to_str().is_some_and(valid_path_token) {
-                return Err(StemError::InvalidConfig(format!(
-                    "store path must be 1-256 chars of printable ASCII with no spaces, got {:?}",
-                    store.path
-                )));
-            }
-        }
         // Registry membership is checked at admission, where the sampler
         // registry lives; this validation is purely structural.
         Ok(())
     }
 
-    /// Materializes the job's workload (suite-drawn jobs against
-    /// [`RealFs`]; see [`JobSpec::workload_via`] for store-backed jobs
-    /// under an injected storage).
+    /// Materializes the job's workload from its suite.
     ///
     /// # Errors
     ///
     /// Returns [`StemError::InvalidConfig`] if `workload_index` is out
-    /// of range for the suite, or — for store-backed jobs — if the store
-    /// fails any integrity check or streams a fingerprint other than the
-    /// one the job expects.
+    /// of range for the suite.
     pub fn workload(&self) -> Result<Workload, StemError> {
-        self.workload_via(&RealFs)
-    }
-
-    /// [`JobSpec::workload`] with the storage behind a store-backed job
-    /// injected (the daemon passes its configured storage here, so
-    /// chaos-family filesystems see every store read).
-    ///
-    /// # Errors
-    ///
-    /// As [`JobSpec::workload`].
-    pub fn workload_via(&self, storage: &dyn Storage) -> Result<Workload, StemError> {
-        if let Some(store) = &self.store {
-            let loaded = gpu_workload::load_store(storage, &store.path).map_err(|e| {
-                StemError::InvalidConfig(format!("store {}: {e}", store.path.display()))
-            })?;
-            // `load_store` already proved the stream matches the
-            // manifest; this check pins it to the *client's* expectation.
-            if loaded.fingerprint() != store.fingerprint {
-                return Err(StemError::InvalidConfig(format!(
-                    "store {} streams fingerprint {:016x}, job expects {:016x}",
-                    store.path.display(),
-                    loaded.fingerprint(),
-                    store.fingerprint
-                )));
-            }
-            return Ok(loaded);
-        }
         let suite = self.suite.workloads(self.suite_seed);
         suite.into_iter().nth(self.workload_index).ok_or_else(|| {
             StemError::InvalidConfig(format!(
@@ -271,7 +204,6 @@ mod tests {
             seed: 1,
             deadline_ms: None,
             sampler: "STEM".to_string(),
-            store: None,
         }
     }
 
@@ -295,41 +227,6 @@ mod tests {
         let mut bad = spec();
         bad.sampler = "no spaces allowed".to_string();
         assert!(bad.validate().is_err());
-        let mut bad = spec();
-        bad.store = Some(StoreRef { path: PathBuf::from("has space/store"), fingerprint: 1 });
-        assert!(bad.validate().is_err());
-        let mut ok = spec();
-        ok.store =
-            Some(StoreRef { path: PathBuf::from("/tmp/stores/bfs"), fingerprint: 0xfeed });
-        assert!(ok.validate().is_ok());
-    }
-
-    #[test]
-    fn store_backed_workload_streams_and_pins_the_fingerprint() {
-        use gpu_workload::{StoreWriter, WorkloadSource};
-        let sources = gpu_workload::suites::rodinia_sources(33);
-        let source: &WorkloadSource = &sources[0];
-        let reference = source.materialize();
-        let dir = std::env::temp_dir()
-            .join(format!("stem-serve-jobstore-{}", std::process::id()))
-            .join(source.name());
-        let _ = std::fs::remove_dir_all(&dir);
-        let storage = RealFs;
-        let mut writer = StoreWriter::create(&storage, &dir, 512).expect("create");
-        let summary = source.stream(&mut writer, 512).expect("stream");
-        writer.finish(&summary).expect("commit");
-
-        let mut job = spec();
-        job.store = Some(StoreRef { path: dir.clone(), fingerprint: reference.fingerprint() });
-        let loaded = job.workload().expect("store-backed workload");
-        assert_eq!(loaded, reference, "store job streams the exact workload");
-
-        // A lying expectation is a typed rejection, not a wrong workload.
-        let mut lied = spec();
-        lied.store =
-            Some(StoreRef { path: dir.clone(), fingerprint: reference.fingerprint() ^ 1 });
-        assert!(matches!(lied.workload(), Err(StemError::InvalidConfig(_))));
-        let _ = std::fs::remove_dir_all(dir.parent().expect("parent"));
     }
 
     #[test]

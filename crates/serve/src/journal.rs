@@ -7,16 +7,16 @@
 //! # Format
 //!
 //! ```text
-//! STEM-SERVE-JOURNAL v1
+//! STEM-SERVE-JOURNAL v2
 //! fingerprint 6b1c3f...
-//! job <id> <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> <deadline_ms|-> <sampler> [<store_path> <store_fp>]
+//! job <id> <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> <deadline_ms|-> <sampler>
 //! checksum 9d41a2...
 //! ```
 //!
-//! A `job` line with only 8 fields (written before samplers were
-//! per-job) parses with the sampler defaulted to `STEM`, and a 9-field
-//! line (written before store-backed jobs) parses with no store, so
-//! upgrading the daemon never quarantines a healthy journal.
+//! The header, fingerprint and checksum lines are the shared envelope of
+//! [`stem_storage::record`]. A `job` line has exactly 9 fields; a journal
+//! of any other version (`v1` included) is quarantined as
+//! [`SnapshotError::VersionMismatch`], never half-read.
 //!
 //! The journal records job *specs*, never results: a job's completed
 //! units live in its own campaign snapshot (`job-<id>.snap` next to the
@@ -29,42 +29,24 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::job::{JobSpec, StoreRef, SuiteId};
+use crate::job::{JobSpec, SuiteId};
 use stem_core::SnapshotError;
-use stem_storage::Storage;
+use stem_storage::{record, Storage};
 
-/// First token of the journal header; the version tag follows it.
-const HEADER_PREFIX: &str = "STEM-SERVE-JOURNAL";
 /// The exact header this version writes and accepts.
-pub(crate) const HEADER: &str = "STEM-SERVE-JOURNAL v1";
+pub(crate) const HEADER: &str = "STEM-SERVE-JOURNAL v2";
 
-/// FNV-1a 64 — the workspace's std-only integrity hash.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Serializes the journal body and appends its checksum line.
+/// Serializes the journal body and seals it with its checksum line.
 pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>) -> String {
     let mut body = String::new();
-    let _ = writeln!(body, "{HEADER}");
-    let _ = writeln!(body, "fingerprint {fingerprint:016x}");
     for (id, spec) in jobs {
         let deadline = match spec.deadline_ms {
             Some(ms) => ms.to_string(),
             None => "-".to_string(),
         };
-        let store = match &spec.store {
-            Some(s) => format!(" {} {:016x}", s.path.display(), s.fingerprint),
-            None => String::new(),
-        };
         let _ = writeln!(
             body,
-            "job {id} {} {} {} {} {} {} {deadline} {}{store}",
+            "job {id} {} {} {} {} {} {} {deadline} {}",
             spec.tenant,
             spec.suite.as_str(),
             spec.suite_seed,
@@ -74,19 +56,15 @@ pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>)
             spec.sampler,
         );
     }
-    let checksum = fnv1a64(body.as_bytes());
-    let _ = writeln!(body, "checksum {checksum:016x}");
-    body
+    record::seal(HEADER, fingerprint, &body)
 }
 
 /// Parses one `job` line's payload (everything after the keyword).
 fn parse_job_fields(rest: &str, line: usize) -> Result<(u64, JobSpec), SnapshotError> {
     let malformed = |message: String| SnapshotError::Malformed { line, message };
     let fields: Vec<&str> = rest.split_whitespace().collect();
-    // 8 = pre-sampler, 9 = pre-store, 11 = store-backed; 10 would be a
-    // store path with no fingerprint.
-    if !matches!(fields.len(), 8 | 9 | 11) {
-        return Err(malformed(format!("expected 8, 9 or 11 job fields, got {}", fields.len())));
+    if fields.len() != 9 {
+        return Err(malformed(format!("expected 9 job fields, got {}", fields.len())));
     }
     let num = |s: &str, what: &str| -> Result<u64, SnapshotError> {
         s.parse().map_err(|_| malformed(format!("bad {what} {s:?}")))
@@ -109,90 +87,38 @@ fn parse_job_fields(rest: &str, line: usize) -> Result<(u64, JobSpec), SnapshotE
         reps,
         seed: num(fields[6], "seed")?,
         deadline_ms,
-        // 8-field lines predate per-job samplers: those jobs ran STEM.
-        sampler: fields.get(8).unwrap_or(&"STEM").to_string(),
-        store: match (fields.get(9), fields.get(10)) {
-            (Some(path), Some(fp)) => Some(StoreRef {
-                path: PathBuf::from(path),
-                fingerprint: u64::from_str_radix(fp, 16)
-                    .map_err(|_| malformed(format!("bad store fingerprint {fp:?}")))?,
-            }),
-            _ => None,
-        },
+        sampler: fields[8].to_string(),
     };
     spec.validate()
         .map_err(|e| malformed(format!("invalid job spec: {e}")))?;
     Ok((id, spec))
 }
 
-/// Parses and integrity-checks a journal: header, checksum, grammar.
-/// Returns the recorded fingerprint and the job map.
-pub(crate) fn parse_journal(
-    text: &str,
-) -> Result<(u64, BTreeMap<u64, JobSpec>), SnapshotError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    if header != HEADER {
-        if header.starts_with(HEADER_PREFIX) {
-            return Err(SnapshotError::VersionMismatch { found: header.to_string() });
-        }
-        return Err(SnapshotError::MissingHeader);
-    }
-
-    // Verify the checksum before believing any line.
-    let Some(tail) = text.lines().next_back() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    let Some(recorded) = tail.strip_prefix("checksum ") else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    let recorded =
-        u64::from_str_radix(recorded.trim(), 16).map_err(|_| SnapshotError::ChecksumMismatch)?;
-    let Some(body_len) = text.len().checked_sub(tail.len() + 1) else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    if fnv1a64(text[..body_len].as_bytes()) != recorded {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut fingerprint = None;
+/// Parses and integrity-checks a journal (header, version, checksum,
+/// grammar — see [`stem_storage::record`]). Returns the recorded
+/// fingerprint and the job map.
+///
+/// # Errors
+///
+/// The [`SnapshotError`] naming the first check the text fails.
+pub fn parse_journal(text: &str) -> Result<(u64, BTreeMap<u64, JobSpec>), SnapshotError> {
     let mut jobs = BTreeMap::new();
-    for (i, line) in lines {
-        let lineno = i + 1;
-        if line == tail && fingerprint.is_some() {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("fingerprint ") {
-            let fp = u64::from_str_radix(rest.trim(), 16).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("bad fingerprint {rest:?}"),
-                }
-            })?;
-            fingerprint = Some(fp);
-        } else if let Some(rest) = line.strip_prefix("job ") {
-            let (id, spec) = parse_job_fields(rest, lineno)?;
-            if jobs.insert(id, spec).is_some() {
-                return Err(SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("duplicate job {id}"),
-                });
-            }
-        } else {
+    let fingerprint = record::open(text, HEADER, |lineno, line| {
+        let Some(rest) = line.strip_prefix("job ") else {
             return Err(SnapshotError::Malformed {
                 line: lineno,
                 message: format!("unrecognized line {line:?}"),
             });
+        };
+        let (id, spec) = parse_job_fields(rest, lineno)?;
+        if jobs.insert(id, spec).is_some() {
+            return Err(SnapshotError::Malformed {
+                line: lineno,
+                message: format!("duplicate job {id}"),
+            });
         }
-    }
-    let Some(fingerprint) = fingerprint else {
-        return Err(SnapshotError::Malformed {
-            line: 2,
-            message: "missing fingerprint line".to_string(),
-        });
-    };
+        Ok(())
+    })?;
     Ok((fingerprint, jobs))
 }
 
@@ -272,14 +198,6 @@ mod tests {
             seed: 9,
             deadline_ms: if idx % 2 == 0 { Some(500) } else { None },
             sampler: if idx % 2 == 0 { "STEM" } else { "RSS" }.to_string(),
-            store: if idx % 2 == 0 {
-                None
-            } else {
-                Some(StoreRef {
-                    path: PathBuf::from("/tmp/stores/bfs"),
-                    fingerprint: 0xdead_beef,
-                })
-            },
         }
     }
 
@@ -299,36 +217,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_eight_field_job_lines_default_to_stem() {
-        // A journal written before samplers were per-job: rebuild one by
-        // stripping the sampler column and re-checksumming the body.
-        // (Store-backed jobs postdate samplers, so legacy lines never
-        // carry a store — drop it before cutting the last column.)
-        let mut legacy_jobs = jobs();
-        for spec in legacy_jobs.values_mut() {
-            spec.store = None;
+    fn job_lines_take_exactly_nine_fields() {
+        // Checksum-valid bodies whose job line is one field short (the
+        // retired pre-sampler shape) or one long are grammar errors.
+        for line in ["job 0 alice casio 5 0 2 9 -", "job 0 alice casio 5 0 2 9 - STEM x"] {
+            let text = record::seal(HEADER, 3, &format!("{line}\n"));
+            assert!(
+                matches!(parse_journal(&text), Err(SnapshotError::Malformed { line: 3, .. })),
+                "{line:?}"
+            );
         }
-        let text = serialize_journal(3, &legacy_jobs);
-        let body_no_checksum: String = text
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| {
-                if l.starts_with("job ") {
-                    let cut = l.rfind(' ').expect("fields");
-                    format!("{}\n", &l[..cut])
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let legacy =
-            format!("{body_no_checksum}checksum {:016x}\n", fnv1a64(body_no_checksum.as_bytes()));
-        let (fp, parsed) = parse_journal(&legacy).expect("legacy journal parses");
-        assert_eq!(fp, 3);
-        assert_eq!(parsed.len(), jobs().len());
-        for spec in parsed.values() {
-            assert_eq!(spec.sampler, "STEM", "legacy jobs ran STEM");
-        }
+        let v1 = serialize_journal(3, &jobs()).replacen("v2", "v1", 1);
+        assert!(matches!(parse_journal(&v1), Err(SnapshotError::VersionMismatch { .. })));
     }
 
     #[test]
@@ -336,7 +236,7 @@ mod tests {
         let text = serialize_journal(1, &jobs());
         let cut = &text[..text.len() / 2];
         assert!(matches!(parse_journal(cut), Err(SnapshotError::ChecksumMismatch)));
-        let stale = text.replacen("v1", "v999", 1);
+        let stale = text.replacen("v2", "v999", 1);
         assert!(matches!(
             parse_journal(&stale),
             Err(SnapshotError::VersionMismatch { .. })
@@ -379,7 +279,7 @@ mod tests {
 
         // Corrupt bytes: quarantined too — to a uniquified name, so the
         // first piece of evidence is never overwritten.
-        fs::write(&path, "STEM-SERVE-JOURNAL v1\ngarbage\n").expect("write");
+        fs::write(&path, "STEM-SERVE-JOURNAL v2\ngarbage\n").expect("write");
         let (loaded, q2) = load_journal(&storage, &path, 7).expect("load");
         assert!(loaded.is_empty());
         let q2 = q2.expect("quarantined");

@@ -37,7 +37,7 @@
 //!
 //! # Crash safety
 //!
-//! Accepted jobs are recorded in a `STEM-SERVE-JOURNAL v1` file (see
+//! Accepted jobs are recorded in a `STEM-SERVE-JOURNAL v2` file (see
 //! [`journal`]) with the same atomic-write + fingerprint + checksum +
 //! quarantine discipline as campaign snapshots; per-job campaign
 //! snapshots hold every completed `(workload, rep)` unit. Kill the
@@ -56,7 +56,7 @@ pub mod proto;
 pub mod server;
 
 pub use config::ServeConfig;
-pub use job::{JobPhase, JobSpec, JobStatus, StoreRef, SuiteId};
-pub use journal::QuarantinedJournal;
+pub use job::{JobPhase, JobSpec, JobStatus, SuiteId};
+pub use journal::{parse_journal, QuarantinedJournal};
 pub use proto::{parse_request, render_error, render_result_payload, Request};
 pub use server::{AccessError, RecoveryReport, Server};

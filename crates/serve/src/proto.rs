@@ -4,7 +4,7 @@
 //! # Grammar (one request per line)
 //!
 //! ```text
-//! SUBMIT <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> [deadline_ms [sampler [store_path store_fp]]]
+//! SUBMIT <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> [deadline_ms [sampler]]
 //! STATUS <tenant> <job>
 //! RESULT <tenant> <job>
 //! CANCEL <tenant> <job>
@@ -14,11 +14,6 @@
 //!
 //! `deadline_ms` may be `-` (no deadline) when a `sampler` follows it;
 //! the sampler is any `standard_registry` name and defaults to `STEM`.
-//! `store_path store_fp` (always together, after an explicit sampler)
-//! point the job at a pre-materialized columnar store: the directory
-//! path and the expected `Workload::fingerprint` as 16 hex digits.
-//! Admission verifies the store manifest against the fingerprint and
-//! rejects a mismatch with a typed `ERR` — a swapped store never runs.
 //!
 //! Responses are a single `OK ...` / `ERR ...` line, except `RESULT`,
 //! which follows its `OK result` line with a payload terminated by `END`:
@@ -34,8 +29,7 @@
 //! byte-for-byte across daemon restarts — the protocol-level form of the
 //! repo's bit-identical invariant.
 
-use crate::job::{valid_token, JobSpec, StoreRef, SuiteId};
-use std::path::PathBuf;
+use crate::job::{valid_token, JobSpec, SuiteId};
 use stem_core::{EvalSummary, StemError};
 
 /// A parsed client request.
@@ -99,11 +93,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     let rest: Vec<&str> = fields.collect();
     match verb {
         "SUBMIT" => {
-            // 9 fields would be a store path without its fingerprint.
-            if !(6..=10).contains(&rest.len()) || rest.len() == 9 {
+            if !(6..=8).contains(&rest.len()) {
                 return Err(format!(
                     "SUBMIT takes <tenant> <suite> <suite_seed> <workload_index> <reps> \
-                     <seed> [deadline_ms [sampler [store_path store_fp]]], got {} fields",
+                     <seed> [deadline_ms [sampler]], got {} fields",
                     rest.len()
                 ));
             }
@@ -127,14 +120,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     Some(d) => Some(parse_u64(d, "deadline")?),
                 },
                 sampler: rest.get(7).unwrap_or(&"STEM").to_string(),
-                store: match (rest.get(8), rest.get(9)) {
-                    (Some(path), Some(fp)) => Some(StoreRef {
-                        path: PathBuf::from(path),
-                        fingerprint: u64::from_str_radix(fp, 16)
-                            .map_err(|_| format!("bad store fingerprint: {fp:?}"))?,
-                    }),
-                    _ => None,
-                },
             };
             spec.validate().map_err(|e| e.to_string())?;
             Ok(Request::Submit(spec))
@@ -241,30 +226,9 @@ mod tests {
             Request::Submit(spec) => {
                 assert_eq!(spec.deadline_ms, None, "`-` means no deadline");
                 assert_eq!(spec.sampler, "TwoPhase");
-                assert_eq!(spec.store, None);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-    }
-
-    #[test]
-    fn submit_accepts_a_store_reference() {
-        let r = parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs 00000000deadbeef")
-            .expect("valid");
-        match r {
-            Request::Submit(spec) => {
-                let store = spec.store.expect("store parsed");
-                assert_eq!(store.path, PathBuf::from("/tmp/stores/bfs"));
-                assert_eq!(store.fingerprint, 0xdead_beef);
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-        // A path without its fingerprint (9 fields) and a bad fingerprint
-        // are typed messages, never a half-parsed store.
-        assert!(parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs").is_err());
-        assert!(
-            parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs nothex").is_err()
-        );
     }
 
     #[test]
@@ -297,6 +261,7 @@ mod tests {
             "SUBMIT bad tenant rodinia 1 0 2 7",
             "SUBMIT t1 rodinia 1 0 2 7 - bad!sampler",
             "SUBMIT t1 rodinia 1 0 2 7 250 RSS extra",
+            "SUBMIT t1 rodinia 33 0 2 7 - STEM stores/bfs 00000000deadbeef",
             "STATUS t1",
             "STATUS t1 notanumber",
             "SHUTDOWN please",

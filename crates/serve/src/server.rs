@@ -27,13 +27,14 @@ use std::time::{Duration, Instant};
 use crate::config::ServeConfig;
 use crate::job::{JobPhase, JobSpec, JobStatus};
 use crate::journal::{
-    fnv1a64, load_journal, serialize_journal, write_journal_atomic, QuarantinedJournal, HEADER,
+    load_journal, serialize_journal, write_journal_atomic, QuarantinedJournal, HEADER,
 };
 use crate::proto::{parse_request, render_error, render_result_payload, Request};
 use gpu_sim::{SimCache, Simulator};
 use stem_baselines::standard_registry;
 use stem_core::{Pipeline, SamplerRegistry, SnapshotError, StemError};
 use stem_par::{Parallelism, Supervisor};
+use stem_storage::record::fnv1a64;
 use stem_storage::{StorageError, StorageOp};
 
 /// Why a tenant-scoped lookup was refused.
@@ -180,23 +181,6 @@ impl Inner {
         // job must never fail at dispatch time for a reason the daemon
         // knew at submit time.
         self.registry.build(&spec.sampler)?;
-        // Same principle for store-backed jobs: verify the manifest (one
-        // small read) and pin its fingerprint to the client's expectation
-        // now; dispatch re-verifies every streamed byte.
-        if let Some(store) = &spec.store {
-            let manifest = gpu_workload::open_store(&*self.config.storage, &store.path)
-                .map_err(|e| {
-                    StemError::InvalidConfig(format!("store {}: {e}", store.path.display()))
-                })?;
-            if manifest.fingerprint() != store.fingerprint {
-                return Err(StemError::InvalidConfig(format!(
-                    "store {} manifest fingerprint {:016x} does not match expected {:016x}",
-                    store.path.display(),
-                    manifest.fingerprint(),
-                    store.fingerprint
-                )));
-            }
-        }
         let overload = |scope: &str, depth: usize, hint_mul: u64| StemError::Overloaded {
             scope: scope.to_string(),
             depth,
@@ -384,7 +368,7 @@ impl Inner {
         threads: usize,
         cancel: Arc<AtomicBool>,
     ) -> Result<stem_core::CampaignReport, StemError> {
-        let workload = spec.workload_via(&*self.config.storage)?;
+        let workload = spec.workload()?;
         let mut supervisor = Supervisor::new().with_retry_budget(self.config.unit_retry_budget);
         if let Some(ms) = spec.deadline_ms {
             supervisor = supervisor.with_soft_deadline(Duration::from_millis(ms));

@@ -4,12 +4,12 @@
 //! [`run_streaming_total`] computes the same number as
 //! [`Simulator::run_full_total`] without ever holding a whole workload in
 //! memory. A producer thread emits the block stream (a streaming suite
-//! generator, or a columnar store read) into a bounded channel; the
-//! calling thread consumes blocks in stream order, computing each newly
-//! seen `(kernel, context, work_scale)` group's deterministic timing once
-//! (groups within a block in parallel — they are independent, so thread
-//! count cannot reach the result) and folding the per-invocation jittered
-//! cycles serially, left to right.
+//! generator, or the replay of a materialized workload) into a bounded
+//! channel; the calling thread consumes blocks in stream order, computing
+//! each newly seen `(kernel, context, work_scale)` group's deterministic
+//! timing once (groups within a block in parallel — they are independent,
+//! so thread count cannot reach the result) and folding the
+//! per-invocation jittered cycles serially, left to right.
 //!
 //! Determinism argument, in the same terms as `stem-par`'s:
 //!
@@ -32,7 +32,6 @@ use crate::simulator::Simulator;
 use gpu_workload::stream::{BlockSink, ChannelSink, SinkError, StreamItem, StreamSummary};
 use gpu_workload::{FingerprintFold, Invocation, KernelId, Workload, WorkloadSource};
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::Mutex;
 
 /// Default bound on undelivered blocks in the pipeline channel. Peak
@@ -57,12 +56,11 @@ pub struct StreamingTotal {
     pub groups: usize,
 }
 
-/// Why a streaming run failed. `E` is the producer's error type
-/// ([`SinkError`] for generation, `ColStoreError` for store reads).
+/// Why a streaming run failed.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StreamRunError<E> {
-    /// The producer failed (generation sink error, store corruption...).
-    Produce(E),
+pub enum StreamRunError {
+    /// The producer's sink failed.
+    Produce(SinkError),
     /// A block arrived before the frozen tables.
     MissingTables,
     /// The tables arrived twice.
@@ -90,7 +88,7 @@ pub enum StreamRunError<E> {
     MissingSummary,
 }
 
-impl<E: std::fmt::Display> std::fmt::Display for StreamRunError<E> {
+impl std::fmt::Display for StreamRunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StreamRunError::Produce(e) => write!(f, "stream producer failed: {e}"),
@@ -113,7 +111,7 @@ impl<E: std::fmt::Display> std::fmt::Display for StreamRunError<E> {
     }
 }
 
-impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for StreamRunError<E> {}
+impl std::error::Error for StreamRunError {}
 
 /// Serial in-stream-order fold state of the consumer.
 struct StreamFold<'a> {
@@ -139,7 +137,7 @@ impl<'a> StreamFold<'a> {
         }
     }
 
-    fn tables<E>(&mut self, skeleton: Workload) -> Result<(), StreamRunError<E>> {
+    fn tables(&mut self, skeleton: Workload) -> Result<(), StreamRunError> {
         if self.skeleton.is_some() {
             return Err(StreamRunError::DuplicateTables);
         }
@@ -156,7 +154,7 @@ impl<'a> StreamFold<'a> {
         Ok(())
     }
 
-    fn block<E>(&mut self, invocations: Vec<Invocation>) -> Result<(), StreamRunError<E>> {
+    fn block(&mut self, invocations: Vec<Invocation>) -> Result<(), StreamRunError> {
         let Some(skeleton) = self.skeleton.as_ref() else {
             return Err(StreamRunError::MissingTables);
         };
@@ -235,15 +233,14 @@ impl<'a> StreamFold<'a> {
 /// # Panics
 ///
 /// Panics if `channel_blocks` is zero.
-pub fn run_streaming_total<E, P>(
+pub fn run_streaming_total<P>(
     sim: &Simulator,
     par: stem_par::Parallelism,
     channel_blocks: usize,
     produce: P,
-) -> Result<StreamingTotal, StreamRunError<E>>
+) -> Result<StreamingTotal, StreamRunError>
 where
-    E: Send,
-    P: FnOnce(&mut dyn BlockSink) -> Result<StreamSummary, E> + Send,
+    P: FnOnce(&mut dyn BlockSink) -> Result<StreamSummary, SinkError> + Send,
 {
     let summary_cell: Mutex<Option<StreamSummary>> = Mutex::new(None);
     let mut fold = StreamFold::new(sim, par);
@@ -296,14 +293,14 @@ where
 ///
 /// # Errors
 ///
-/// [`StreamRunError`] over the generation [`SinkError`].
+/// [`StreamRunError`].
 pub fn source_total(
     sim: &Simulator,
     par: stem_par::Parallelism,
     source: &WorkloadSource,
     block_len: usize,
     channel_blocks: usize,
-) -> Result<StreamingTotal, StreamRunError<SinkError>> {
+) -> Result<StreamingTotal, StreamRunError> {
     run_streaming_total(sim, par, channel_blocks, |sink| {
         source.stream(sink, block_len)
     })
@@ -326,30 +323,9 @@ pub fn workload_total(
     workload: &Workload,
     block_len: usize,
     channel_blocks: usize,
-) -> Result<StreamingTotal, StreamRunError<SinkError>> {
+) -> Result<StreamingTotal, StreamRunError> {
     run_streaming_total(sim, par, channel_blocks, |sink| {
         workload.stream_blocks(sink, block_len)
-    })
-}
-
-/// Streaming ground truth straight off a columnar invocation store:
-/// blocks are read, checksummed and decoded on the producer thread and
-/// timed here, so peak memory stays a few blocks even for paper-scale
-/// stores.
-///
-/// # Errors
-///
-/// [`StreamRunError`] over `ColStoreError` — corrupt stores quarantine
-/// and surface typed errors, never garbage cycles.
-pub fn store_total(
-    sim: &Simulator,
-    par: stem_par::Parallelism,
-    storage: &dyn stem_storage::Storage,
-    dir: &Path,
-    channel_blocks: usize,
-) -> Result<StreamingTotal, StreamRunError<gpu_workload::ColStoreError>> {
-    run_streaming_total(sim, par, channel_blocks, |sink| {
-        gpu_workload::stream_store(storage, dir, sink)
     })
 }
 
@@ -411,7 +387,7 @@ mod tests {
     #[test]
     fn block_before_tables_is_typed_error() {
         let sim = sim();
-        let result: Result<StreamingTotal, StreamRunError<SinkError>> =
+        let result: Result<StreamingTotal, StreamRunError> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, |sink| {
                 sink.block(&[Invocation::with_work(KernelId(0), 0, 1.0, 0.0)])?;
                 Ok(StreamSummary {
@@ -439,7 +415,7 @@ mod tests {
             )
         };
         let bogus = Invocation::with_work(KernelId(99), 0, 1.0, 0.0);
-        let result: Result<StreamingTotal, StreamRunError<SinkError>> =
+        let result: Result<StreamingTotal, StreamRunError> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, move |sink| {
                 sink.tables(&skeleton)?;
                 sink.block(&[bogus])?;
@@ -461,7 +437,7 @@ mod tests {
         let source = &sources[0];
         let honest = source_total(&sim, stem_par::Parallelism::serial(), source, 128, 2)
             .expect("stream");
-        let result: Result<StreamingTotal, StreamRunError<SinkError>> =
+        let result: Result<StreamingTotal, StreamRunError> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, |sink| {
                 let mut summary = source.stream(sink, 128)?;
                 summary.fingerprint ^= 1;

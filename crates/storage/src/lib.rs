@@ -39,6 +39,8 @@
 #![deny(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+pub mod record;
+
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -154,15 +156,6 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
     /// reports `kind == NotFound` (see [`StorageError::is_not_found`]).
     fn read_to_string(&self, path: &Path) -> Result<String, StorageError>;
 
-    /// Reads a whole file as raw bytes (columnar block files are binary,
-    /// so they cannot go through [`Storage::read_to_string`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] with op [`StorageOp::Read`]; a missing file
-    /// reports `kind == NotFound`.
-    fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError>;
-
     /// Writes `bytes` to `path`, creating or truncating it.
     ///
     /// # Errors
@@ -227,10 +220,6 @@ pub struct RealFs;
 impl Storage for RealFs {
     fn read_to_string(&self, path: &Path) -> Result<String, StorageError> {
         fs::read_to_string(path).map_err(|e| StorageError::from_io(StorageOp::Read, path, &e))
-    }
-
-    fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
-        fs::read(path).map_err(|e| StorageError::from_io(StorageOp::Read, path, &e))
     }
 
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
@@ -301,23 +290,8 @@ pub fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// directory sync is swallowed: it can delay durability of the rename,
 /// never corrupt it.
 pub fn write_atomic(storage: &dyn Storage, path: &Path, text: &str) -> Result<(), StorageError> {
-    write_atomic_bytes(storage, path, text.as_bytes())
-}
-
-/// Binary counterpart of [`write_atomic`]: the same tmp → fsync →
-/// rename → parent-sync discipline over raw bytes (columnar block
-/// files are binary).
-///
-/// # Errors
-///
-/// Same as [`write_atomic`].
-pub fn write_atomic_bytes(
-    storage: &dyn Storage,
-    path: &Path,
-    bytes: &[u8],
-) -> Result<(), StorageError> {
     let tmp = sibling(path, ".tmp");
-    storage.write(&tmp, bytes)?;
+    storage.write(&tmp, text.as_bytes())?;
     storage.sync_file(&tmp)?;
     storage.rename(&tmp, path)?;
     let _ = storage.sync_parent_dir(path);

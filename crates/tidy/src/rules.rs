@@ -117,11 +117,10 @@ const HOT_SRC_PREFIXES: [&str; 7] = [
 /// The storage crate counts too: it is the layer every snapshot and
 /// journal read enters the process through, and it must degrade to typed
 /// errors, never panic, on whatever a damaged disk hands back.
-const INGEST_SRC_PREFIXES: [&str; 6] = [
+const INGEST_SRC_PREFIXES: [&str; 5] = [
     "crates/profile/src/",
     "crates/storage/src/",
     "crates/workload/src/io.rs",
-    "crates/workload/src/colstore.rs",
     "crates/serve/src/proto.rs",
     "crates/serve/src/journal.rs",
 ];
@@ -132,7 +131,7 @@ const INGEST_SRC_PREFIXES: [&str; 6] = [
 /// bounds-pruned k-means exist precisely to keep allocation out of the
 /// per-item loops, so any allocation that stays must carry an allowlist
 /// justification placing it at setup time.
-const HOT_ALLOC_SRC_FILES: [&str; 9] = [
+const HOT_ALLOC_SRC_FILES: [&str; 8] = [
     "crates/sim/src/simulator.rs",
     "crates/sim/src/sampled.rs",
     "crates/sim/src/hardware.rs",
@@ -141,7 +140,6 @@ const HOT_ALLOC_SRC_FILES: [&str; 9] = [
     "crates/cluster/src/kmeans.rs",
     "crates/cluster/src/matrix.rs",
     "crates/cluster/src/distance.rs",
-    "crates/workload/src/colstore.rs",
 ];
 
 /// Files longer than this are flagged by the hygiene rule.

@@ -33,7 +33,6 @@
 
 pub mod builder;
 pub mod chakra;
-pub mod colstore;
 pub mod context;
 pub mod error;
 pub mod invocation;
@@ -47,14 +46,12 @@ pub mod trace;
 
 pub use builder::{WorkloadBuilder, WorkloadSource};
 pub use chakra::{EtNode, EtOp, ExecutionTrace};
-pub use colstore::{
-    load_store, open_store, stream_store, ColStoreError, StoreManifest, StoreWriter,
-    DEFAULT_BLOCK_LEN, MANIFEST_NAME,
-};
 pub use context::{ContextSchedule, RuntimeContext};
 pub use error::{WorkloadError, WorkloadErrorKind};
 pub use invocation::{Invocation, KernelId};
 pub use kernel::{InstructionMix, KernelClass};
 pub use metrics::{MetricCategory, MetricKind, MetricVector, METRIC_COUNT};
-pub use stream::{BlockSink, ChannelSink, CollectSink, SinkError, StreamItem, StreamSummary};
+pub use stream::{
+    BlockSink, ChannelSink, CollectSink, SinkError, StreamItem, StreamSummary, DEFAULT_BLOCK_LEN,
+};
 pub use trace::{FingerprintFold, SuiteKind, Workload};

@@ -5,20 +5,21 @@
 //! workload's frozen tables (a *skeleton* — name, suite, kernel and
 //! context tables, zero invocations), then the invocation stream cut into
 //! fixed-size blocks. Consumers that only need a left-to-right pass
-//! (ground-truth simulation, fingerprinting, the columnar store writer)
-//! never hold more than one block in memory.
+//! (ground-truth simulation, fingerprinting) never hold more than one
+//! block in memory.
 //!
-//! Two sinks live here:
-//!
-//! * [`ChannelSink`] forwards items into a bounded channel — the producer
-//!   half of `stem-par`'s pipelined generate→simulate→fold executor.
-//! * `colstore::StoreWriter` (in [`crate::colstore`]) commits blocks to
-//!   disk through the `stem-storage` durability contract.
+//! [`ChannelSink`] forwards items into a bounded channel — the producer
+//! half of `stem-par`'s pipelined generate→simulate→fold executor;
+//! [`CollectSink`] materializes the stream back into a [`Workload`].
 
-use crate::colstore::ColStoreError;
 use crate::invocation::Invocation;
 use crate::trace::Workload;
 use std::sync::mpsc::SyncSender;
+
+/// Invocations per block the streaming producers emit by default: large
+/// enough to amortize per-block channel traffic, small enough that the
+/// pipelined executor's few in-flight blocks stay a few MiB.
+pub const DEFAULT_BLOCK_LEN: usize = 65_536;
 
 /// Why a block stream stopped.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,33 +27,17 @@ pub enum SinkError {
     /// The consumer hung up (a pipelined executor that stopped early);
     /// the producer should stop generating.
     Closed,
-    /// The sink's storage commit failed.
-    Store(Box<ColStoreError>),
 }
 
 impl std::fmt::Display for SinkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SinkError::Closed => f.write_str("block stream consumer hung up"),
-            SinkError::Store(e) => write!(f, "block stream store error: {e}"),
         }
     }
 }
 
-impl std::error::Error for SinkError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SinkError::Closed => None,
-            SinkError::Store(e) => Some(e.as_ref()),
-        }
-    }
-}
-
-impl From<ColStoreError> for SinkError {
-    fn from(e: ColStoreError) -> Self {
-        SinkError::Store(Box::new(e))
-    }
-}
+impl std::error::Error for SinkError {}
 
 /// What a completed stream produced: enough to key caches and
 /// cross-check a consumer without materializing anything.
@@ -168,9 +153,9 @@ impl CollectSink {
 impl Workload {
     /// Replays this materialized workload as a block stream: skeleton
     /// tables first, then the invocation vector cut into `block_len`
-    /// chunks. Lets every streaming consumer (the pipelined executor,
-    /// the columnar store writer) also run off an in-memory workload —
-    /// the bridge the streamed-vs-reference equivalence gates use.
+    /// chunks. Lets every streaming consumer (the pipelined executor)
+    /// also run off an in-memory workload — the bridge the
+    /// streamed-vs-reference equivalence gates use.
     ///
     /// # Errors
     ///

@@ -73,19 +73,17 @@ pub use stem_storage as storage;
 /// One-stop imports for the common workflow.
 pub mod prelude {
     pub use gpu_sim::{
-        run_streaming_total, source_total, store_total, workload_total, DseTransform, GpuConfig,
-        SampledRun, Simulator, StreamRunError, StreamingTotal, WeightedSample,
-        DEFAULT_CHANNEL_BLOCKS,
+        run_streaming_total, source_total, workload_total, DseTransform, GpuConfig, SampledRun,
+        Simulator, StreamRunError, StreamingTotal, WeightedSample, DEFAULT_CHANNEL_BLOCKS,
     };
     pub use gpu_workload::suites::{
         casio_sources, casio_suite, huggingface_sources, huggingface_suite, rodinia_sources,
         rodinia_suite, HuggingfaceScale,
     };
     pub use gpu_workload::{
-        load_store, open_store, stream_store, BlockSink, ChannelSink, ColStoreError, CollectSink,
-        ContextSchedule, InstructionMix, KernelClass, RuntimeContext, SinkError, StoreManifest,
-        StoreWriter, StreamSummary, SuiteKind, Workload, WorkloadBuilder, WorkloadSource,
-        DEFAULT_BLOCK_LEN,
+        BlockSink, ChannelSink, CollectSink, ContextSchedule, InstructionMix, KernelClass,
+        RuntimeContext, SinkError, StreamSummary, SuiteKind, Workload, WorkloadBuilder,
+        WorkloadSource, DEFAULT_BLOCK_LEN,
     };
     pub use gpu_workload::scenarios::{
         adversarial_sources, adversarial_suite, bursty_interference, longtail_skew, phase_drift,
@@ -106,7 +104,7 @@ pub mod prelude {
         CampaignReport, Pipeline, QuarantinedSnapshot, RecoveryPolicy, SamplerRegistry,
         SamplingPlan, SnapshotError, StemConfig, StemError, StemRootSampler,
     };
-    pub use stem_serve::{JobPhase, JobSpec, ServeConfig, Server, StoreRef, SuiteId};
+    pub use stem_serve::{JobPhase, JobSpec, ServeConfig, Server, SuiteId};
 }
 
 #[cfg(test)]

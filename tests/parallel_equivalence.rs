@@ -11,8 +11,12 @@
 //! * sampling plans and ROOT cluster assignments
 //!   ([`StemRootSampler::with_parallelism`]),
 //! * clean evaluations ([`Pipeline::run`]),
-//! * and the `RepairAndDegrade` chaos path
-//!   ([`Pipeline::run_from_profile`] on a faulted trace).
+//! * the `RepairAndDegrade` chaos path
+//!   ([`Pipeline::run_from_profile`] on a faulted trace),
+//! * and the streamed ground-truth executor, fed by a generator
+//!   ([`source_total`]) or by a materialized workload's replay
+//!   ([`workload_total`]), at threads ∈ {1, 4} over all three suites —
+//!   plus the one-pass fingerprint fold of every generator in the tree.
 //!
 //! A final golden check pins `threads = 1` (and `Parallelism::serial()`)
 //! to the pre-parallelism behavior: the same per-rep results as a manual
@@ -21,6 +25,7 @@
 use stem::core::eval::{evaluate_once, EvalResult};
 use stem::prelude::*;
 use stem::profile::ExecTimeProfiler;
+use stem::sim::simulator::reference;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 const REPS: u32 = 3;
@@ -196,6 +201,80 @@ fn threads_one_matches_the_manual_serial_loop() {
                 "{}: {par:?} diverges from the manual serial loop",
                 w.name()
             );
+        }
+    }
+}
+
+/// Every deferred generator in the tree: the three suites plus the
+/// adversarial scenarios.
+fn all_sources(seed: u64) -> Vec<WorkloadSource> {
+    let mut sources = rodinia_sources(seed);
+    sources.extend(casio_sources(seed));
+    sources.extend(huggingface_sources(seed, HuggingfaceScale::custom(0.01)));
+    sources.extend(adversarial_sources(seed));
+    sources
+}
+
+/// The streamed one-pass fingerprint fold equals the materialized
+/// [`Workload::fingerprint`] for all three suites and the adversarial
+/// scenarios, and collecting the stream rebuilds the workload exactly.
+#[test]
+fn streamed_fingerprint_equals_materialized_everywhere() {
+    for seed in [1_u64, 77] {
+        for source in all_sources(seed) {
+            let w = source.materialize();
+            let mut sink = CollectSink::new();
+            let summary = source.stream(&mut sink, 1000).expect("collect");
+            assert_eq!(
+                summary.fingerprint,
+                w.fingerprint(),
+                "{} seed {seed}: streamed fingerprint must match materialized",
+                source.name()
+            );
+            assert_eq!(summary.invocations, w.num_invocations() as u64);
+            assert_eq!(sink.into_workload(), w);
+        }
+    }
+}
+
+/// The pipelined generate→simulate→fold executor, fed by the generator
+/// or by a replay of the materialized workload, matches the in-memory
+/// reference totals bit for bit at threads 1 and 4.
+#[test]
+fn streamed_totals_match_in_memory_reference_across_suites_and_threads() {
+    let sim = Simulator::new(GpuConfig::rtx2080());
+    let suites: [(&str, Vec<WorkloadSource>); 3] = [
+        ("rodinia", rodinia_sources(7)),
+        ("casio", casio_sources(7)),
+        ("huggingface", huggingface_sources(7, HuggingfaceScale::custom(0.01))),
+    ];
+    for (suite, sources) in suites {
+        // Two workloads per suite keep the gate fast while still covering
+        // multi-kernel and multi-context table shapes.
+        for source in sources.iter().take(2) {
+            let w = source.materialize();
+            let expected = sim.run_full_total(&w, Parallelism::serial());
+            // The retained per-invocation reference path must agree with
+            // the total-only fold before we pin the streamed paths to it.
+            let full = reference::run_full(&sim, &w);
+            assert_eq!(full.total_cycles.to_bits(), expected.to_bits());
+            for threads in [1_usize, 4] {
+                let par = Parallelism::with_threads(threads);
+                let generated = source_total(&sim, par, source, 2048, DEFAULT_CHANNEL_BLOCKS)
+                    .expect("generate stream");
+                let replayed = workload_total(&sim, par, &w, 2048, DEFAULT_CHANNEL_BLOCKS)
+                    .expect("replay stream");
+                for (path, got) in [("generate", &generated), ("replay", &replayed)] {
+                    assert_eq!(
+                        got.total_cycles.to_bits(),
+                        expected.to_bits(),
+                        "{suite}/{}: {path} path diverged at {threads} threads",
+                        source.name()
+                    );
+                    assert_eq!(got.fingerprint, w.fingerprint());
+                    assert_eq!(got.invocations, w.num_invocations() as u64);
+                }
+            }
         }
     }
 }

@@ -53,7 +53,6 @@ fn suite_specs() -> Vec<JobSpec> {
         seed,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     vec![
         spec("alice", SuiteId::Rodinia, 7, 11),   // kmeans
@@ -229,7 +228,6 @@ fn concurrent_tenants_over_the_wire_match_serial_pipeline() {
         seed: 21,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     let mut bob = alice.clone();
     bob.tenant = "bob".to_string();
@@ -301,7 +299,6 @@ fn overload_rejections_are_typed_and_admitted_jobs_complete() {
         seed,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     let t1 = server.try_submit(spec("t1", 1)).expect("first job admitted");
     match server.try_submit(spec("t1", 2)) {
@@ -373,7 +370,6 @@ fn corrupt_journal_is_quarantined_and_jobs_recompute_the_same_bits() {
         seed: 31,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     let first = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
     let id = first.try_submit(spec.clone()).expect("admitted");
@@ -447,7 +443,6 @@ fn memo_cache_stays_bounded_across_a_warm_multi_campaign_run() {
         seed,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     let mut payloads = Vec::new();
     for seed in [41u64, 41, 42] {
@@ -491,7 +486,6 @@ fn per_job_samplers_dispatch_through_the_registry() {
         seed: 61,
         deadline_ms: None,
         sampler: "RSS".to_string(),
-        store: None,
     };
     let rss_ref = serial_payload(&spec, &dir, "rss-ref");
     let server = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
@@ -594,82 +588,11 @@ fn wire_chaos_never_takes_the_daemon_down() {
         seed: 51,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     let reference = serial_payload(&spec, &dir, "post-chaos-ref");
     assert_eq!(wire.roundtrip("RESULT alice 0\n"), format!("OK result\n{reference}"));
     assert_eq!(wire.roundtrip("SHUTDOWN\n"), "OK shutting-down\n");
     server.shutdown();
     drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn store_backed_jobs_serve_byte_identical_payloads() {
-    let dir = scratch("store-jobs");
-    // The reference: the same workload submitted the ordinary way (drawn
-    // from the suite) and run through a serial pipeline.
-    let spec = JobSpec {
-        tenant: "alice".to_string(),
-        suite: SuiteId::Rodinia,
-        suite_seed: 33,
-        workload_index: 7, // kmeans
-        reps: 2,
-        seed: 61,
-        deadline_ms: None,
-        sampler: "STEM".to_string(),
-        store: None,
-    };
-    let reference = serial_payload(&spec, &dir, "store-ref");
-
-    // Pre-materialize the same workload into a columnar store on disk.
-    let sources = rodinia_sources(33);
-    let source = &sources[7];
-    let store_dir = dir.join("stores").join(source.name());
-    let mut writer = StoreWriter::create(&RealFs, &store_dir, 1024).expect("create store");
-    let summary = source.stream(&mut writer, 1024).expect("stream into store");
-    writer.finish(&summary).expect("commit store");
-    let fp = summary.fingerprint;
-
-    let server =
-        Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
-    let mut wire = Wire::connect(server.addr());
-
-    // A lying fingerprint is a typed rejection at admission — the job is
-    // never journaled, never run.
-    let lied = wire.roundtrip(&format!(
-        "SUBMIT alice rodinia 33 7 2 61 - STEM {} {:016x}\n",
-        store_dir.display(),
-        fp ^ 1
-    ));
-    assert!(
-        lied.starts_with("ERR rejected") && lied.contains("does not match expected"),
-        "fingerprint mismatch must be typed: {lied:?}"
-    );
-    // So is a path with no store behind it.
-    let gone = wire.roundtrip(&format!(
-        "SUBMIT alice rodinia 33 7 2 61 - STEM {}/no-such-store {fp:016x}\n",
-        dir.display()
-    ));
-    assert!(gone.starts_with("ERR rejected"), "missing store must be typed: {gone:?}");
-
-    // The honest submission streams the store and serves a payload
-    // byte-identical to the suite-drawn reference.
-    assert_eq!(
-        wire.roundtrip(&format!(
-            "SUBMIT alice rodinia 33 7 2 61 - STEM {} {fp:016x}\n",
-            store_dir.display()
-        )),
-        "OK job 0\n"
-    );
-    wire.wait_done("alice", 0);
-    let reply = wire.roundtrip("RESULT alice 0\n");
-    assert_eq!(
-        reply,
-        format!("OK result\n{reference}"),
-        "store-backed payload bits differ from the suite-drawn reference"
-    );
-    drop(wire);
-    server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -348,7 +348,6 @@ fn serve_specs() -> Vec<JobSpec> {
         seed,
         deadline_ms: None,
         sampler: "STEM".to_string(),
-        store: None,
     };
     vec![spec("t0", SuiteId::Rodinia, 7, 11), spec("t1", SuiteId::Casio, 7, 12)]
 }
