@@ -5,6 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --workspace --release --offline
+# Rustdoc gate: a doc link left pointing at a renamed or deleted item (or
+# any other rustdoc warning) fails CI.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo test --workspace -q --offline
 # The chaos and parallel-equivalence suites are part of the workspace run
 # above; keep explicit invocations so a fault-model or determinism

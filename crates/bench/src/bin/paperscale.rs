@@ -15,12 +15,12 @@
 //! `--mode streamed` (default) never materializes a workload: every
 //! section runs off block streams, so peak RSS stays a few blocks no
 //! matter the scale. `--mode in-memory` materializes each suite and runs
-//! the retained reference path (`run_full_par`) — run it as a *separate
+//! the in-memory grouped fold (`run_full_total`) — run it as a *separate
 //! process* to get the before/after peak-RSS comparison, since `VmHWM`
 //! is process-wide and monotonic.
 //!
 //! The bin asserts the streamed totals are bit-identical at every thread
-//! count (and, in in-memory mode, identical to the reference), so the
+//! count (and, in in-memory mode, identical to the in-memory fold), so the
 //! benchmark doubles as a paper-scale equivalence gate.
 
 use std::path::Path;
@@ -200,10 +200,9 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
     let sim = options.simulator();
     let mut sections = Vec::new();
     for (kind, suite_name) in SUITES {
-        // The retained reference path: materialize the whole suite, then
-        // run the in-memory full simulation (per-invocation vector and
-        // all). Peak RSS scales with suite size here — the "before"
-        // column of the flat-memory table.
+        // The in-memory path: materialize the whole suite, then fold
+        // each workload's total in memory. Peak RSS scales with suite
+        // size here — the "before" column of the flat-memory table.
         let t = Instant::now();
         let workloads = options.suite(kind);
         let invocations: u64 = workloads.iter().map(|w| w.num_invocations() as u64).sum();
@@ -222,7 +221,7 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
             let t = Instant::now();
             let mut totals = Vec::with_capacity(workloads.len());
             for w in &workloads {
-                totals.push(sim.run_full_par(w, par).total_cycles);
+                totals.push(sim.run_full_total(w, par));
             }
             let streamed: Vec<f64> = workloads
                 .iter()

@@ -113,7 +113,7 @@ fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> Suite
     let t = Instant::now();
     let mut total_cycles = 0.0_f64;
     for w in &workloads {
-        total_cycles += sim.run_full_par(w, par).total_cycles;
+        total_cycles += sim.run_full_total(w, par);
     }
     sections.push(Section {
         name: "ground_truth_sim",
@@ -150,7 +150,10 @@ fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> Suite
     let t = Instant::now();
     let mut mean_err = 0.0_f64;
     for w in &workloads {
-        mean_err += pipeline.run(&cold_sampler, w).mean_error_pct;
+        mean_err += pipeline
+            .run_streamed(&cold_sampler, w)
+            .expect("generated workloads stream cleanly")
+            .mean_error_pct;
     }
     sections.push(Section {
         name: "pipeline_end_to_end",

@@ -11,9 +11,9 @@ use stem_baselines::{
     PhotonSampler, PkaSampler, RandomSampler, RssSampler, SieveSampler, TbPointSampler,
     TwoPhaseSampler,
 };
-use stem_core::eval::{evaluate_total_par, EvalSummary};
+use stem_core::eval::EvalSummary;
 use stem_core::sampler::KernelSampler;
-use stem_core::{StemConfig, StemRootSampler};
+use stem_core::{Pipeline, StemConfig, StemRootSampler};
 
 /// The sampling methods of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -218,35 +218,24 @@ pub fn eval_method_on_sources(
     })
 }
 
-/// One method on one workload. Ground truth folds out-of-core through
-/// the block-streaming executor — bit-identical to
-/// `run_full(w).total_cycles` without materializing the per-invocation
-/// cycle vector.
+/// One method on one workload: [`Pipeline::run_streamed`] at serial
+/// parallelism (the suite loops parallelize across workloads instead).
+/// Ground truth folds out-of-core through the block-streaming executor —
+/// bit-identical to `run_full(w).total_cycles` without materializing the
+/// per-invocation cycle vector.
 fn eval_method_on_workload(
     method: MethodKind,
     w: &Workload,
     options: &ExperimentOptions,
 ) -> EvalSummary {
-    let sim = options.simulator();
     let sampler = build_sampler(method, w, &options.stem_config);
-    let full_total = gpu_sim::workload_total(
-        &sim,
-        stem_par::Parallelism::serial(),
-        w,
-        gpu_workload::DEFAULT_BLOCK_LEN,
-        gpu_sim::DEFAULT_CHANNEL_BLOCKS,
-    )
-    .expect("generated workloads stream cleanly")
-    .total_cycles;
-    evaluate_total_par(
-        sampler.as_ref(),
-        w,
-        &sim,
-        full_total,
-        options.reps,
-        options.seed,
-        stem_par::Parallelism::serial(),
-    )
+    Pipeline::new(options.simulator())
+        .with_reps(options.reps)
+        .expect("positive reps")
+        .with_seed(options.seed)
+        .with_parallelism(stem_par::Parallelism::serial())
+        .run_streamed(sampler.as_ref(), w)
+        .expect("generated workloads stream cleanly")
 }
 
 /// Suite-level aggregation: harmonic-mean speedup and arithmetic-mean error
@@ -264,7 +253,8 @@ pub fn aggregate(summaries: &[EvalSummary]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_core::eval::evaluate;
+    use stem_core::eval::evaluate_total_par;
+    use stem_par::Parallelism;
 
     #[test]
     fn tuning_applies_to_the_right_workloads() {
@@ -310,8 +300,16 @@ mod tests {
             assert_eq!(summary.workload, w.name(), "summary {i} out of order");
             let sim = opts.simulator();
             let sampler = build_sampler(MethodKind::Random, w, &opts.stem_config);
-            let full = sim.run_full(w);
-            let serial = evaluate(sampler.as_ref(), w, &sim, &full, opts.reps, opts.seed);
+            let total = sim.run_full(w).total_cycles;
+            let serial = evaluate_total_par(
+                sampler.as_ref(),
+                w,
+                &sim,
+                total,
+                opts.reps,
+                opts.seed,
+                Parallelism::serial(),
+            );
             assert_eq!(*summary, serial, "summary {i} diverges from serial eval");
         }
     }

@@ -163,7 +163,9 @@ pub fn scaling_smoke_check(threads: usize) -> ScalingCheck {
             .with_seed(options.seed)
             .with_parallelism(par);
         let t = Instant::now();
-        let summary = pipeline.run(&sampler, &workload);
+        let summary = pipeline
+            .run_streamed(&sampler, &workload)
+            .expect("generated workloads stream cleanly");
         (t.elapsed().as_nanos() as f64, summary)
     };
     let (serial_ns, serial) = run_at(Parallelism::serial());

@@ -18,7 +18,8 @@
 //! dominates all accumulated floating-point error, and every undecided
 //! point falls back to the exact scan used before the rewrite — so
 //! assignments, centroids, and inertia are bit-identical to the naive
-//! per-point scan (kept in [`reference`] as the executable specification).
+//! per-point scan (kept in [`reference`](mod@reference) as the executable
+//! specification).
 
 use crate::distance::sq_euclidean;
 use crate::matrix::Matrix;

@@ -41,7 +41,7 @@
 //! corruption can do is cost the saved work.
 //!
 //! All durable writes go through the pipeline's
-//! [`Storage`](stem_storage::Storage) (see
+//! [`Storage`] (see
 //! [`Pipeline::with_storage`]): the real filesystem by default, the
 //! chaos crate's fault-injecting `FaultFs` under test. `stem-storage`'s
 //! `write_atomic` adds an fsync of the tmp file before the rename and a
@@ -53,11 +53,13 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::error::StemError;
-use crate::eval::{EvalResult, EvalSummary, StreamingAggregate};
+pub use crate::eval::UnitRecord;
+use crate::eval::{measure, rep_seed, summarize, EvalSummary};
 use crate::pipeline::Pipeline;
+use crate::plan::SamplingPlan;
 use crate::sampler::KernelSampler;
 use gpu_sim::SimCache;
 use gpu_workload::Workload;
@@ -84,8 +86,8 @@ pub struct QuarantinedSnapshot {
 /// Outcome of a completed campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
-    /// One summary per workload, in input order — bit-identical to what
-    /// an uninterrupted [`Pipeline::run_against`] loop would produce.
+    /// One summary per workload, in input order — bit-identical to
+    /// [`Pipeline::run_streamed`] on each workload alone.
     pub summaries: Vec<EvalSummary>,
     /// Units loaded from the snapshot instead of recomputed.
     pub resumed_units: u64,
@@ -98,20 +100,6 @@ pub struct CampaignReport {
     /// Orphan `.tmp` files from an interrupted write, removed by
     /// [`Pipeline::resume_from`] before resuming.
     pub swept_tmp: Vec<PathBuf>,
-}
-
-/// One persisted unit: the numeric fields of an [`EvalResult`] (the
-/// strings are reproducible from the sampler and workload list).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UnitRecord {
-    /// Measured error of the unit's sampled run, percent.
-    pub error_pct: f64,
-    /// Simulation speedup of the unit's sampled run.
-    pub speedup: f64,
-    /// Samples the unit's plan selected.
-    pub num_samples: usize,
-    /// The plan's predicted error bound, percent.
-    pub predicted_error_pct: f64,
 }
 
 /// Serializes the snapshot body and seals it with its checksum line.
@@ -225,6 +213,12 @@ fn quarantine(storage: &dyn Storage, path: &Path) -> Result<PathBuf, SnapshotErr
     stem_storage::quarantine(storage, path).map_err(SnapshotError::Io)
 }
 
+/// Plans one unit: `(workload, rep seed)` → plan. A sampler's own
+/// [`KernelSampler::try_plan`] for campaigns and plain runs, or a closure
+/// over a validated trace for [`Pipeline::run_from_profile`].
+pub(crate) type Planner<'a> =
+    dyn Fn(&Workload, u64) -> Result<SamplingPlan, StemError> + Sync + 'a;
+
 /// Locks the shared campaign state, recovering from poisoning: the map
 /// only ever holds units that were already persisted to the snapshot, so
 /// a worker panic between insert and unlock cannot leave it inconsistent
@@ -286,7 +280,8 @@ impl Pipeline {
         workloads: &[Workload],
         snapshot_path: &Path,
     ) -> Result<CampaignReport, StemError> {
-        self.campaign(sampler, workloads, snapshot_path, BTreeMap::new(), None, Vec::new())
+        let planner = |w: &Workload, seed| sampler.try_plan(w, seed);
+        self.campaign(sampler, &planner, workloads, Some(snapshot_path), BTreeMap::new())
     }
 
     /// Resumes a campaign from `snapshot_path`: completed units are
@@ -333,19 +328,24 @@ impl Pipeline {
                 }
             },
         };
-        let swept_tmp: Vec<PathBuf> = swept.into_iter().collect();
-        self.campaign(sampler, workloads, snapshot_path, done, quarantined, swept_tmp)
+        let planner = |w: &Workload, seed| sampler.try_plan(w, seed);
+        let report = self.campaign(sampler, &planner, workloads, Some(snapshot_path), done)?;
+        Ok(CampaignReport { quarantined, swept_tmp: swept.into_iter().collect(), ..report })
     }
 
-    /// The campaign engine shared by fresh runs and resumes.
-    fn campaign(
+    /// The run engine behind every `Pipeline` run: plans each missing
+    /// `(workload, rep)` unit with `planner`, measures it against the
+    /// workload's streamed ground truth, and folds one summary per
+    /// workload. With a `snapshot` path every completed unit is persisted
+    /// there under the campaign fingerprint; without one nothing is
+    /// written.
+    pub(crate) fn campaign(
         &self,
         sampler: &dyn KernelSampler,
+        planner: &Planner<'_>,
         workloads: &[Workload],
-        snapshot_path: &Path,
+        snapshot: Option<&Path>,
         done: BTreeMap<u64, UnitRecord>,
-        quarantined: Option<QuarantinedSnapshot>,
-        swept_tmp: Vec<PathBuf>,
     ) -> Result<CampaignReport, StemError> {
         if workloads.is_empty() {
             return Err(StemError::InvalidConfig(
@@ -357,7 +357,7 @@ impl Pipeline {
         }
         let reps = self.reps as u64;
         let total_units = workloads.len() as u64 * reps;
-        let fingerprint = self.campaign_fingerprint(sampler, workloads);
+        let snapshot = snapshot.map(|path| (path, self.campaign_fingerprint(sampler, workloads)));
         let resumed_units = done.len() as u64;
         let missing: Vec<u64> = (0..total_units).filter(|u| !done.contains_key(u)).collect();
 
@@ -367,18 +367,14 @@ impl Pipeline {
         // in-order fold is bit-identical to `run_full().total_cycles`,
         // and its fingerprint cross-check turns a corrupted stream into
         // a typed error instead of a wrong total).
-        let full_totals: Vec<OnceLock<Result<f64, String>>> =
+        let full_totals: Vec<OnceLock<Result<f64, StemError>>> =
             (0..workloads.len()).map(|_| OnceLock::new()).collect();
-        let local_cache;
+        let mut local_cache = None;
         let cache: &SimCache = match &self.shared_cache {
             Some(shared) => shared,
-            None => {
-                local_cache = SimCache::new();
-                &local_cache
-            }
+            None => local_cache.insert(SimCache::new()),
         };
         let state = Mutex::new(done);
-        let executed = AtomicU64::new(0);
         // Admission counter for the simulated kill: gating on *starts*
         // (first attempts only — a retry is not a new unit) admits exactly
         // `kill_after` units at every thread count, where gating on
@@ -411,50 +407,24 @@ impl Pipeline {
                     faults.inject(unit, ctx.attempt);
                 }
                 let wi = (unit / reps) as usize;
-                let rep = unit % reps;
                 let workload = &workloads[wi];
-                let full_total = match full_totals[wi].get_or_init(|| {
-                    gpu_sim::workload_total(
-                        &self.sim,
-                        Parallelism::serial(),
-                        workload,
-                        gpu_workload::DEFAULT_BLOCK_LEN,
-                        gpu_sim::DEFAULT_CHANNEL_BLOCKS,
-                    )
-                    .map(|t| t.total_cycles)
-                    .map_err(|e| e.to_string())
-                }) {
-                    Ok(total) => *total,
-                    Err(msg) => return Err(StemError::GroundTruth(msg.clone())),
-                };
-                let seed = self
-                    .base_seed
-                    .wrapping_add(rep)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                let plan = sampler.try_plan(workload, seed)?;
-                let run = self.sim.run_sampled_cached(
-                    workload,
-                    plan.samples(),
-                    Parallelism::serial(),
-                    cache,
-                );
-                let record = UnitRecord {
-                    error_pct: run.error(full_total) * 100.0,
-                    speedup: run.speedup(full_total),
-                    num_samples: plan.num_samples(),
-                    predicted_error_pct: plan.predicted_error() * 100.0,
-                };
+                let full_total = full_totals[wi]
+                    .get_or_init(|| self.streamed_total(workload, Parallelism::serial()))
+                    .clone()?;
+                let seed = rep_seed(self.base_seed, unit % reps);
+                let plan = planner(workload, seed)?;
+                let record = measure(&self.sim, workload, &plan, full_total, cache);
                 // Persist under the state lock so concurrent writers
                 // cannot rename an older snapshot over a newer one.
                 let mut st = lock_state(&state);
                 st.insert(unit, record);
-                write_snapshot_atomic(
-                    &*self.storage,
-                    snapshot_path,
-                    &serialize_snapshot(fingerprint, &st),
-                )?;
-                drop(st);
-                executed.fetch_add(1, Ordering::SeqCst);
+                if let Some((path, fingerprint)) = snapshot {
+                    write_snapshot_atomic(
+                        &*self.storage,
+                        path,
+                        &serialize_snapshot(fingerprint, &st),
+                    )?;
+                }
                 Ok(())
             },
         );
@@ -468,11 +438,7 @@ impl Pipeline {
                 return Err(StemError::TaskFailure(TaskFailure { index, ..failure }));
             }
         };
-        let final_state = match state.into_inner() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let executed_units = executed.load(Ordering::SeqCst);
+        let final_state = state.into_inner().unwrap_or_else(PoisonError::into_inner);
 
         let mut interrupted = false;
         for unit_outcome in unit_outcomes {
@@ -491,44 +457,25 @@ impl Pipeline {
 
         let mut summaries = Vec::with_capacity(workloads.len());
         for (wi, workload) in workloads.iter().enumerate() {
-            let mut results = Vec::with_capacity(reps as usize);
-            for rep in 0..reps {
-                let unit = wi as u64 * reps + rep;
-                let Some(rec) = final_state.get(&unit) else {
-                    return Err(SnapshotError::Malformed {
+            let units = wi as u64 * reps..(wi as u64 + 1) * reps;
+            let records = units
+                .map(|unit| {
+                    final_state.get(&unit).copied().ok_or_else(|| SnapshotError::Malformed {
                         line: 0,
                         message: format!("unit {unit} missing after a complete campaign"),
-                    }
-                    .into());
-                };
-                results.push(EvalResult {
-                    method: sampler.name().to_string(),
-                    workload: workload.name().to_string(),
-                    error_pct: rec.error_pct,
-                    speedup: rec.speedup,
-                    num_samples: rec.num_samples,
-                    predicted_error_pct: rec.predicted_error_pct,
-                });
-            }
-            let mut agg = StreamingAggregate::new();
-            for r in &results {
-                agg.push(r.error_pct, r.speedup);
-            }
-            summaries.push(EvalSummary {
-                method: sampler.name().to_string(),
-                workload: workload.name().to_string(),
-                mean_error_pct: agg.mean_error_pct(),
-                harmonic_speedup: agg.harmonic_speedup(),
-                results,
-            });
+                    })
+                })
+                .collect::<Result<Vec<UnitRecord>, SnapshotError>>()?;
+            summaries.push(summarize(sampler.name(), workload, records));
         }
         Ok(CampaignReport {
             summaries,
             resumed_units,
-            executed_units,
+            // Success means every missing unit completed exactly once.
+            executed_units: missing.len() as u64,
             exec_log,
-            quarantined,
-            swept_tmp,
+            quarantined: None,
+            swept_tmp: Vec::new(),
         })
     }
 }

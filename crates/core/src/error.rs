@@ -61,11 +61,12 @@ pub enum StemError {
     TaskFailure(TaskFailure),
     /// A campaign snapshot could not be written or read back.
     Snapshot(SnapshotError),
-    /// The campaign was interrupted (a simulated process kill from an
-    /// injected fault plan); completed units are persisted in the snapshot
-    /// and [`crate::Pipeline::resume_from`] picks up from there.
+    /// A run was interrupted (its cancel flag was raised, or an injected
+    /// fault plan simulated a process kill). A campaign's completed units
+    /// are persisted in its snapshot and [`crate::Pipeline::resume_from`]
+    /// picks up from there.
     Interrupted {
-        /// Units persisted in the snapshot at the moment of interruption.
+        /// Units completed at the moment of interruption.
         completed_units: u64,
     },
     /// The streamed ground-truth executor rejected the block stream

@@ -2,6 +2,7 @@
 //! aggregation conventions (harmonic-mean speedup, arithmetic-mean error —
 //! Sec. 4, citing Eeckhout's "RIP geomean speedup").
 
+use crate::plan::SamplingPlan;
 use crate::sampler::KernelSampler;
 use gpu_sim::{FullRun, SimCache, Simulator};
 use gpu_workload::Workload;
@@ -126,7 +127,8 @@ impl StreamingAggregate {
 }
 
 /// Evaluates one sampling method once on one workload against a
-/// pre-computed full run.
+/// pre-computed full run — the plain, uncached single-rep oracle the
+/// repetition loops are pinned against.
 pub fn evaluate_once(
     sampler: &dyn KernelSampler,
     workload: &Workload,
@@ -146,49 +148,92 @@ pub fn evaluate_once(
     }
 }
 
-/// Evaluates over `reps` repetitions (the paper uses 10), averaging error
+/// One repetition's measurement: the numeric fields of an
+/// [`EvalResult`] (the strings are reproducible from the sampler and
+/// workload), which is also what a campaign snapshot persists per unit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct UnitRecord {
+    /// Measured error of the unit's sampled run, percent.
+    pub error_pct: f64,
+    /// Simulation speedup of the unit's sampled run.
+    pub speedup: f64,
+    /// Samples the unit's plan selected.
+    pub num_samples: usize,
+    /// The plan's predicted error bound, percent.
+    pub predicted_error_pct: f64,
+}
+
+/// The seed of repetition `rep`: derived from its index alone (never
+/// from the worker that ran it or the attempt), so every repetition
+/// loop replays the same plans at every thread count.
+pub(crate) fn rep_seed(base_seed: u64, rep: u64) -> u64 {
+    base_seed.wrapping_add(rep).wrapping_mul(0x9e3779b97f4a7c15)
+}
+
+/// Measures one repetition: simulates `plan`'s samples through `cache`
+/// and scores the estimate against the ground-truth `full_total`
+/// (Eq. 1).
+pub(crate) fn measure(
+    sim: &Simulator,
+    workload: &Workload,
+    plan: &SamplingPlan,
+    full_total: f64,
+    cache: &SimCache,
+) -> UnitRecord {
+    let run = sim.run_sampled_cached(workload, plan.samples(), Parallelism::serial(), cache);
+    UnitRecord {
+        error_pct: run.error(full_total) * 100.0,
+        speedup: run.speedup(full_total),
+        num_samples: plan.num_samples(),
+        predicted_error_pct: plan.predicted_error() * 100.0,
+    }
+}
+
+/// Folds per-repetition records, in repetition order, into the summary:
+/// arithmetic-mean error and harmonic-mean speedup.
+///
+/// # Panics
+///
+/// Panics if `records` is empty.
+pub(crate) fn summarize(
+    method: &str,
+    workload: &Workload,
+    records: impl IntoIterator<Item = UnitRecord>,
+) -> EvalSummary {
+    let mut agg = StreamingAggregate::new();
+    let results: Vec<EvalResult> = records
+        .into_iter()
+        .map(|rec| {
+            agg.push(rec.error_pct, rec.speedup);
+            EvalResult {
+                method: method.to_string(),
+                workload: workload.name().to_string(),
+                error_pct: rec.error_pct,
+                speedup: rec.speedup,
+                num_samples: rec.num_samples,
+                predicted_error_pct: rec.predicted_error_pct,
+            }
+        })
+        .collect();
+    EvalSummary {
+        method: method.to_string(),
+        workload: workload.name().to_string(),
+        mean_error_pct: agg.mean_error_pct(),
+        harmonic_speedup: agg.harmonic_speedup(),
+        results,
+    }
+}
+
+/// Evaluates `sampler` on `workload` over `reps` repetitions (the paper
+/// uses 10) against the ground-truth total `full_total`, averaging error
 /// arithmetically and speedup harmonically.
 ///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn evaluate(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full: &FullRun,
-    reps: u32,
-    base_seed: u64,
-) -> EvalSummary {
-    evaluate_par(sampler, workload, sim, full, reps, base_seed, Parallelism::serial())
-}
-
-/// [`evaluate`] with the repetitions spread across `par` threads.
-///
-/// Every rep's seed is derived from its index (never from the worker that
-/// ran it), reps share a [`SimCache`] of pure timing results, and the
-/// summary aggregates per-rep results in index order — so the outcome is
+/// This is the unsupervised evaluator: repetitions spread across `par`
+/// threads with no retries, fault injection or cancellation (the
+/// supervised runs are [`crate::Pipeline`]'s). Every rep's seed derives
+/// from its index, reps share a [`SimCache`] of pure timing results, and
+/// the summary folds per-rep results in index order — so the outcome is
 /// bit-identical to the serial evaluation at every thread count.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn evaluate_par(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full: &FullRun,
-    reps: u32,
-    base_seed: u64,
-    par: Parallelism,
-) -> EvalSummary {
-    evaluate_total_par(sampler, workload, sim, full.total_cycles, reps, base_seed, par)
-}
-
-/// [`evaluate_par`] against a bare ground-truth total instead of a full
-/// per-invocation run — the entry point for streamed ground truth, where
-/// the total was folded out-of-core and no per-invocation vector exists.
-/// Identical arithmetic to [`evaluate_par`] (which delegates here).
 ///
 /// # Panics
 ///
@@ -204,30 +249,12 @@ pub fn evaluate_total_par(
 ) -> EvalSummary {
     assert!(reps > 0, "at least one repetition required");
     let cache = SimCache::new();
-    let results: Vec<EvalResult> = stem_par::par_map_range(par, reps as usize, |r| {
-        let rep_seed = base_seed.wrapping_add(r as u64).wrapping_mul(0x9e3779b97f4a7c15);
-        let plan = sampler.plan(workload, rep_seed);
-        let run = sim.run_sampled_cached(workload, plan.samples(), Parallelism::serial(), &cache);
-        EvalResult {
-            method: sampler.name().to_string(),
-            workload: workload.name().to_string(),
-            error_pct: run.error(full_total) * 100.0,
-            speedup: run.speedup(full_total),
-            num_samples: plan.num_samples(),
-            predicted_error_pct: plan.predicted_error() * 100.0,
-        }
+    let records = stem_par::par_map_range(par, reps as usize, |r| {
+        let seed = rep_seed(base_seed, r as u64);
+        let plan = sampler.plan(workload, seed);
+        measure(sim, workload, &plan, full_total, &cache)
     });
-    let mut agg = StreamingAggregate::new();
-    for r in &results {
-        agg.push(r.error_pct, r.speedup);
-    }
-    EvalSummary {
-        method: sampler.name().to_string(),
-        workload: workload.name().to_string(),
-        mean_error_pct: agg.mean_error_pct(),
-        harmonic_speedup: agg.harmonic_speedup(),
-        results,
-    }
+    summarize(sampler.name(), workload, records)
 }
 
 #[cfg(test)]
@@ -277,9 +304,9 @@ mod tests {
         let suite = rodinia_suite(13);
         let w = &suite[0];
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
+        let total = sim.run_full(w).total_cycles;
         let sampler = StemRootSampler::new(StemConfig::paper());
-        let summary = evaluate(&sampler, w, &sim, &full, 3, 0);
+        let summary = evaluate_total_par(&sampler, w, &sim, total, 3, 0, Parallelism::serial());
         assert_eq!(summary.results.len(), 3);
         assert!(summary.mean_error_pct < 6.0);
         assert!(summary.harmonic_speedup >= 1.0);
@@ -291,33 +318,26 @@ mod tests {
         let suite = rodinia_suite(13);
         let w = &suite[1];
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
+        let total = sim.run_full(w).total_cycles;
         let sampler = StemRootSampler::new(StemConfig::paper());
-        let serial = evaluate(&sampler, w, &sim, &full, 4, 9);
+        let serial = evaluate_total_par(&sampler, w, &sim, total, 4, 9, Parallelism::serial());
         for threads in [1usize, 2, 3, 8] {
-            let par = evaluate_par(
-                &sampler,
-                w,
-                &sim,
-                &full,
-                4,
-                9,
-                stem_par::Parallelism::with_threads(threads),
-            );
-            assert_eq!(par, serial, "threads = {threads}");
+            let par = Parallelism::with_threads(threads);
+            assert_eq!(evaluate_total_par(&sampler, w, &sim, total, 4, 9, par), serial, "{par:?}");
         }
     }
 
     #[test]
     fn evaluate_matches_manual_once_loop() {
-        // `evaluate` (cached, fold-ordered) must agree bitwise with the
-        // plain `evaluate_once` loop it replaced.
+        // The cached, fold-ordered loop must agree bitwise with the plain
+        // `evaluate_once` loop it replaced.
         let suite = rodinia_suite(13);
         let w = &suite[2];
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(w);
         let sampler = StemRootSampler::new(StemConfig::paper());
-        let summary = evaluate(&sampler, w, &sim, &full, 3, 5);
+        let summary =
+            evaluate_total_par(&sampler, w, &sim, full.total_cycles, 3, 5, Parallelism::serial());
         for (r, result) in summary.results.iter().enumerate() {
             let rep_seed = 5u64.wrapping_add(r as u64).wrapping_mul(0x9e3779b97f4a7c15);
             let once = evaluate_once(&sampler, w, &sim, &full, rep_seed);
@@ -331,9 +351,8 @@ mod tests {
         let suite = rodinia_suite(13);
         let w = &suite[0];
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
         let sampler = StemRootSampler::new(StemConfig::paper());
-        evaluate(&sampler, w, &sim, &full, 0, 0);
+        evaluate_total_par(&sampler, w, &sim, 1.0, 0, 0, Parallelism::serial());
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The end-to-end sampled-simulation pipeline of Fig. 5: profile → sample →
 //! simulate → report.
 
+use crate::campaign::Planner;
 use crate::degrade::RecoveryPolicy;
 use crate::error::StemError;
-use crate::eval::{evaluate_par, evaluate_total_par, EvalResult, EvalSummary, StreamingAggregate};
+use crate::eval::EvalSummary;
 use crate::sampler::KernelSampler;
-use crate::stem::StemRootSampler;
-use gpu_profile::validate::reconstructed_times;
-use gpu_profile::{DataQualityReport, ExecFaultPlan, TraceRecord, TraceValidator};
-use gpu_sim::{FullRun, SimCache, Simulator};
+use crate::stem::{validated_times, StemRootSampler};
+use gpu_profile::{DataQualityReport, ExecFaultPlan, TraceRecord};
+use gpu_sim::{SimCache, Simulator};
 use gpu_workload::Workload;
+use std::collections::BTreeMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use stem_par::{Parallelism, Supervisor};
@@ -28,7 +29,7 @@ use stem_storage::{RealFs, Storage};
 /// let sim = Simulator::new(GpuConfig::rtx2080());
 /// let pipeline = Pipeline::new(sim).with_reps(3)?;
 /// let sampler = StemRootSampler::new(StemConfig::default());
-/// let summary = pipeline.run(&sampler, &rodinia_suite(7)[0]);
+/// let summary = pipeline.run_streamed(&sampler, &rodinia_suite(7)[0])?;
 /// assert!(summary.mean_error_pct < 6.0);
 /// # Ok(())
 /// # }
@@ -97,26 +98,24 @@ impl Pipeline {
         self
     }
 
-    /// Overrides the thread budget (ground-truth simulation and the
-    /// repetition loop both use it).
+    /// Overrides the thread budget (the repetition loop and
+    /// [`Pipeline::ground_truth_total`] both use it).
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.parallelism = par;
         self
     }
 
     /// Overrides the worker supervisor (retry budget and soft deadline)
-    /// used by the supervised execution paths
-    /// ([`Pipeline::run_from_profile`], [`Pipeline::run_campaign`],
-    /// [`Pipeline::resume_from`]).
+    /// every run's repetitions execute under.
     pub fn with_supervisor(mut self, supervisor: Supervisor) -> Self {
         self.supervisor = supervisor;
         self
     }
 
     /// Installs a runtime fault plan — injected worker panics, stalls,
-    /// and simulated process kills — for chaos testing the supervised
-    /// execution paths. Faults derive from `(plan seed, task index)`, so
-    /// they replay identically at every thread count.
+    /// and simulated process kills — for chaos testing every run. Faults
+    /// derive from `(plan seed, unit index)`, so they replay identically
+    /// at every thread count.
     pub fn with_exec_faults(mut self, faults: ExecFaultPlan) -> Self {
         self.exec_faults = Some(faults);
         self
@@ -124,19 +123,20 @@ impl Pipeline {
 
     /// Shares a caller-owned memo cache across pipeline runs. Cache hits
     /// return pure, bit-identical timing values, so sharing one cache
-    /// between campaigns (or tenants of a long-lived service) is sound:
+    /// between runs (or tenants of a long-lived service) is sound:
     /// results never depend on who warmed an entry. Without this, each
-    /// campaign run builds a private cold cache.
+    /// run builds a private cold cache.
     pub fn with_shared_cache(mut self, cache: Arc<SimCache>) -> Self {
         self.shared_cache = Some(cache);
         self
     }
 
-    /// Installs a cooperative cancellation flag checked between campaign
-    /// units. When the flag is raised, no new `(workload, rep)` unit is
-    /// admitted and the campaign returns [`StemError::Interrupted`] with
-    /// the completed-unit count; the snapshot keeps everything finished so
-    /// far, and [`Pipeline::resume_from`] continues bit-identically.
+    /// Installs a cooperative cancellation flag checked between the
+    /// `(workload, rep)` units of every run. When the flag is raised, no
+    /// new unit is admitted and the run returns [`StemError::Interrupted`]
+    /// with the completed-unit count; a campaign's snapshot keeps
+    /// everything finished so far, and [`Pipeline::resume_from`]
+    /// continues bit-identically.
     pub fn with_cancel_flag(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -176,18 +176,10 @@ impl Pipeline {
         &self.sim
     }
 
-    /// Ground-truth full simulation (exposed so callers can reuse it across
-    /// methods — it is by far the most expensive step). Materializes the
-    /// per-invocation cycle vector; when only the total is needed, prefer
-    /// [`Pipeline::ground_truth_total`], which streams blocks instead.
-    pub fn full_run(&self, workload: &Workload) -> FullRun {
-        self.sim.run_full_par(workload, self.parallelism)
-    }
-
     /// Ground-truth total via the pipelined block-streaming executor —
-    /// bit-identical to [`Pipeline::full_run`]'s `total_cycles` at every
-    /// thread count, without ever materializing a per-invocation vector.
-    /// The campaign paths compute their totals this way.
+    /// bit-identical to `run_full(..).total_cycles` at every thread
+    /// count, without ever materializing a per-invocation vector. Every
+    /// run computes its totals this way.
     ///
     /// # Errors
     ///
@@ -195,9 +187,18 @@ impl Pipeline {
     /// reachable for a workload whose invocations escape construction
     /// validation).
     pub fn ground_truth_total(&self, workload: &Workload) -> Result<f64, StemError> {
+        self.streamed_total(workload, self.parallelism)
+    }
+
+    /// [`Pipeline::ground_truth_total`] at an explicit thread budget.
+    pub(crate) fn streamed_total(
+        &self,
+        workload: &Workload,
+        par: Parallelism,
+    ) -> Result<f64, StemError> {
         gpu_sim::workload_total(
             &self.sim,
-            self.parallelism,
+            par,
             workload,
             gpu_workload::DEFAULT_BLOCK_LEN,
             gpu_sim::DEFAULT_CHANNEL_BLOCKS,
@@ -206,59 +207,28 @@ impl Pipeline {
         .map_err(|e| StemError::GroundTruth(e.to_string()))
     }
 
-    /// Runs the whole pipeline for one sampler on one workload.
-    pub fn run(&self, sampler: &dyn KernelSampler, workload: &Workload) -> EvalSummary {
-        let full = self.full_run(workload);
-        self.run_against(sampler, workload, &full)
-    }
-
-    /// [`Pipeline::run`] with the ground truth folded out-of-core through
-    /// the block-streaming executor. Identical arithmetic — the summary is
-    /// bit-identical to [`Pipeline::run`] — but peak memory stays flat in
-    /// the workload length, so this is the paper-scale entry point.
+    /// Runs the whole pipeline for one sampler on one workload: a
+    /// [`Pipeline::run_campaign`] over `[workload]` without a snapshot.
+    /// Ground truth is streamed, so peak memory stays flat in the
+    /// workload length — this is the paper-scale entry point.
     ///
     /// # Errors
     ///
-    /// Same as [`Pipeline::ground_truth_total`].
+    /// Same as [`Pipeline::run_campaign`], less the snapshot errors.
     pub fn run_streamed(
         &self,
         sampler: &dyn KernelSampler,
         workload: &Workload,
     ) -> Result<EvalSummary, StemError> {
-        let full_total = self.ground_truth_total(workload)?;
-        Ok(evaluate_total_par(
-            sampler,
-            workload,
-            &self.sim,
-            full_total,
-            self.reps,
-            self.base_seed,
-            self.parallelism,
-        ))
-    }
-
-    /// Runs against a precomputed full run.
-    pub fn run_against(
-        &self,
-        sampler: &dyn KernelSampler,
-        workload: &Workload,
-        full: &FullRun,
-    ) -> EvalSummary {
-        evaluate_par(
-            sampler,
-            workload,
-            &self.sim,
-            full,
-            self.reps,
-            self.base_seed,
-            self.parallelism,
-        )
+        let planner = |w: &Workload, seed| sampler.try_plan(w, seed);
+        self.run_one(sampler, &planner, workload)
     }
 
     /// Runs the pipeline from an *externally ingested* execution trace
     /// instead of the built-in profiler — the chaos-hardened entry point.
     ///
-    /// The trace is first passed through [`TraceValidator`]: duplicates
+    /// The trace is first passed through
+    /// [`TraceValidator`](gpu_profile::TraceValidator): duplicates
     /// are dropped, out-of-order records re-sorted, corrupt times repaired
     /// from interval evidence or median-imputed, and gaps counted. Under
     /// [`RecoveryPolicy::FailFast`] any detected fault aborts the run;
@@ -266,28 +236,25 @@ impl Pipeline {
     /// sampler plans from the repaired trace with its error model widened
     /// by the degraded fraction, so the reported bound stays honest. The
     /// quality report is returned alongside the evaluation so callers can
-    /// audit what the validator did.
+    /// audit what the validator did. The repetitions then run as in
+    /// [`Pipeline::run_streamed`].
     ///
     /// # Errors
     ///
     /// Returns [`StemError::EmptyWorkload`], [`StemError::Validation`]
     /// when nothing usable survives validation,
     /// [`StemError::DegradedTrace`] under fail-fast with a damaged trace,
-    /// or any planning error from
-    /// [`StemRootSampler::try_plan_degraded`].
+    /// any planning error from
+    /// [`StemRootSampler::try_plan_degraded`], or any run error from
+    /// [`Pipeline::run_streamed`].
     pub fn run_from_profile(
         &self,
         sampler: &StemRootSampler,
         workload: &Workload,
         records: &[TraceRecord],
     ) -> Result<(EvalSummary, DataQualityReport), StemError> {
-        if workload.num_invocations() == 0 {
-            return Err(StemError::EmptyWorkload);
-        }
-        let expected = workload.num_invocations() as u64;
-        let validator = TraceValidator::new().with_expected_len(expected);
-        let (clean, report) = validator.validate(records)?;
-        self.run_validated(sampler, workload, &clean, report)
+        let validated = validated_times(workload, |v| v.validate(records))?;
+        self.run_traced(sampler, workload, validated)
     }
 
     /// Like [`Pipeline::run_from_profile`], but ingests the trace as a CSV
@@ -304,91 +271,38 @@ impl Pipeline {
         workload: &Workload,
         csv: &str,
     ) -> Result<(EvalSummary, DataQualityReport), StemError> {
-        if workload.num_invocations() == 0 {
-            return Err(StemError::EmptyWorkload);
-        }
-        let expected = workload.num_invocations() as u64;
-        let validator = TraceValidator::new().with_expected_len(expected);
-        let (clean, report) = validator.validate_csv(csv)?;
-        self.run_validated(sampler, workload, &clean, report)
+        let validated = validated_times(workload, |v| v.validate_csv(csv))?;
+        self.run_traced(sampler, workload, validated)
     }
 
-    fn run_validated(
+    /// The repetitions of a trace-driven run: every rep plans from the
+    /// validated times, degraded by the report's fraction.
+    fn run_traced(
         &self,
         sampler: &StemRootSampler,
         workload: &Workload,
-        clean: &[TraceRecord],
-        report: DataQualityReport,
+        (times, report): (Vec<f64>, DataQualityReport),
     ) -> Result<(EvalSummary, DataQualityReport), StemError> {
         if self.recovery == RecoveryPolicy::FailFast && !report.is_clean() {
             return Err(StemError::DegradedTrace(Box::new(report)));
         }
-        let expected = workload.num_invocations() as u64;
-        let times = reconstructed_times(clean, expected);
         let degraded = report.degraded_fraction();
-
-        let full = self.full_run(workload);
-        // Repetitions run on supervised worker threads: seeds derive from
-        // the rep index, reps share a memo cache of pure timing results,
-        // a panicking rep is retried within the supervisor's budget (a
-        // retry recomputes the same bits — randomness is index-derived),
-        // and any planning failure is reported for the *lowest failing
-        // rep* — so success and error behavior match the serial loop.
-        let local_cache;
-        let cache: &SimCache = match &self.shared_cache {
-            Some(shared) => shared,
-            None => {
-                local_cache = SimCache::new();
-                &local_cache
-            }
-        };
-        let (outcomes, _exec_log) = stem_par::supervised_map_range(
-            self.parallelism,
-            self.reps as usize,
-            &self.supervisor,
-            |ctx| -> Result<EvalResult, StemError> {
-                if let Some(faults) = &self.exec_faults {
-                    faults.inject(ctx.index as u64, ctx.attempt);
-                }
-                let seed = self
-                    .base_seed
-                    .wrapping_add(ctx.index as u64)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                let plan = sampler.try_plan_degraded(workload, &times, seed, degraded)?;
-                let run = self.sim.run_sampled_cached(
-                    workload,
-                    plan.samples(),
-                    Parallelism::serial(),
-                    cache,
-                );
-                Ok(EvalResult {
-                    method: plan.method().to_string(),
-                    workload: workload.name().to_string(),
-                    error_pct: run.error(full.total_cycles) * 100.0,
-                    speedup: run.speedup(full.total_cycles),
-                    num_samples: plan.num_samples(),
-                    predicted_error_pct: plan.predicted_error() * 100.0,
-                })
-            },
-        )
-        .map_err(StemError::TaskFailure)?;
-        // Stream every rep through the fold once; aggregation order is the
-        // rep index order, bit-identical to the old collect-then-mean pass.
-        let mut results = Vec::with_capacity(self.reps as usize);
-        let mut agg = StreamingAggregate::new();
-        for outcome in outcomes {
-            let result = outcome?;
-            agg.push(result.error_pct, result.speedup);
-            results.push(result);
-        }
-        let summary = EvalSummary {
-            method: sampler.name().to_string(),
-            workload: workload.name().to_string(),
-            mean_error_pct: agg.mean_error_pct(),
-            harmonic_speedup: agg.harmonic_speedup(),
-            results,
-        };
+        let planner =
+            |w: &Workload, seed| sampler.try_plan_degraded(w, &times, seed, degraded);
+        let summary = self.run_one(sampler, &planner, workload)?;
         Ok((summary, report))
+    }
+
+    /// The engine over `[workload]` with no snapshot.
+    fn run_one(
+        &self,
+        sampler: &dyn KernelSampler,
+        planner: &Planner<'_>,
+        workload: &Workload,
+    ) -> Result<EvalSummary, StemError> {
+        let workloads = std::slice::from_ref(workload);
+        let mut report = self.campaign(sampler, planner, workloads, None, BTreeMap::new())?;
+        Ok(report.summaries.remove(0))
     }
 }
 
@@ -396,7 +310,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::config::StemConfig;
-    use crate::stem::StemRootSampler;
+    use crate::eval::evaluate_total_par;
     use gpu_profile::ExecTimeProfiler;
     use gpu_sim::GpuConfig;
     use gpu_workload::suites::rodinia_suite;
@@ -408,29 +322,20 @@ mod tests {
     }
 
     #[test]
-    fn full_run_reused_across_methods() {
-        let suite = rodinia_suite(17);
-        let w = &suite[0];
-        let pipeline = pipeline(2);
-        let full = pipeline.full_run(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        let a = pipeline.run_against(&sampler, w, &full);
-        let b = pipeline.run(&sampler, w);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn streamed_run_is_bit_identical_to_in_memory_run() {
         let suite = rodinia_suite(17);
         let w = &suite[2];
         let sampler = StemRootSampler::new(StemConfig::paper());
+        let sim = Simulator::new(GpuConfig::rtx2080());
+        let full_total = sim.run_full(w).total_cycles;
+        let reference =
+            evaluate_total_par(&sampler, w, &sim, full_total, 2, 1, Parallelism::serial());
         for threads in [1usize, 4] {
             let p = pipeline(2).with_parallelism(Parallelism::with_threads(threads));
-            let reference = p.run(&sampler, w);
             let streamed = p.run_streamed(&sampler, w).expect("valid workload streams");
             assert_eq!(streamed, reference, "{threads} threads");
             let total = p.ground_truth_total(w).expect("valid workload streams");
-            assert_eq!(total.to_bits(), p.full_run(w).total_cycles.to_bits());
+            assert_eq!(total.to_bits(), full_total.to_bits());
         }
     }
 

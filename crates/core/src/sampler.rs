@@ -32,9 +32,9 @@ pub trait KernelSampler: Send + Sync {
     /// Fallible variant of [`KernelSampler::plan`]: rejects workloads with
     /// no invocations *before* dispatching to the implementation, so no
     /// sampler — built-in or user-supplied — can be panicked by an empty
-    /// workload through this entry point. Supervised execution paths
-    /// ([`crate::Pipeline::run_campaign`] and friends) plan through this
-    /// method so degenerate inputs surface as typed errors, not retries.
+    /// workload through this entry point. Every [`crate::Pipeline`] run
+    /// plans through this method (or a trace-driven equivalent) so
+    /// degenerate inputs surface as typed errors, not retries.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@ use crate::error::StemError;
 use crate::plan::{ClusterSummary, SamplingPlan};
 use crate::root::{cluster_workload_par, KernelCluster};
 use crate::sampler::KernelSampler;
-use gpu_profile::validate::reconstructed_times;
+use gpu_profile::validate::{reconstructed_times, ValidationError};
 use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidator};
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
@@ -161,7 +161,8 @@ impl StemRootSampler {
     ///
     /// External profiles are ingested data, so this path never panics:
     /// malformed input surfaces as a typed [`StemError`] the caller can
-    /// match on (equivalent to [`StemRootSampler::try_plan_from_times`]).
+    /// match on (equivalent to [`StemRootSampler::try_plan_degraded`] with
+    /// a degraded fraction of zero).
     ///
     /// # Errors
     ///
@@ -194,36 +195,19 @@ impl StemRootSampler {
         times: &[f64],
         rep_seed: u64,
     ) -> Result<SamplingPlan, StemError> {
-        self.try_plan_from_times(workload, times, rep_seed)
-    }
-
-    /// Alias of [`StemRootSampler::plan_from_times`], kept for symmetry
-    /// with the other `try_` planners on this type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StemError::EmptyWorkload`],
-    /// [`StemError::ProfileLengthMismatch`] if `times` is not one entry per
-    /// invocation, or [`StemError::BadTime`] at the first nonpositive or
-    /// non-finite entry.
-    pub fn try_plan_from_times(
-        &self,
-        workload: &Workload,
-        times: &[f64],
-        rep_seed: u64,
-    ) -> Result<SamplingPlan, StemError> {
         self.try_plan_degraded(workload, times, rep_seed, 0.0)
     }
 
-    /// Like [`StemRootSampler::try_plan_from_times`], but widens every
+    /// Like [`StemRootSampler::plan_from_times`], but widens every
     /// cluster's standard deviation by `degraded_fraction` (see
     /// [`crate::degrade::inflate_std`]) before sample sizing, so plans
     /// built from repaired traces buy their error bound back with more
-    /// samples. A fraction of zero plans exactly like the clean path.
+    /// samples. A fraction of zero plans exactly like
+    /// [`StemRootSampler::plan_from_times`].
     ///
     /// # Errors
     ///
-    /// Same as [`StemRootSampler::try_plan_from_times`].
+    /// Same as [`StemRootSampler::plan_from_times`].
     pub fn try_plan_degraded(
         &self,
         workload: &Workload,
@@ -258,20 +242,14 @@ impl StemRootSampler {
     ///
     /// Returns [`StemError::Validation`] when nothing usable survives
     /// validation, plus everything
-    /// [`StemRootSampler::try_plan_from_times`] reports.
+    /// [`StemRootSampler::try_plan_degraded`] reports.
     pub fn plan_from_trace(
         &self,
         workload: &Workload,
         records: &[TraceRecord],
         rep_seed: u64,
     ) -> Result<(SamplingPlan, DataQualityReport), StemError> {
-        if workload.num_invocations() == 0 {
-            return Err(StemError::EmptyWorkload);
-        }
-        let expected = workload.num_invocations() as u64;
-        let validator = TraceValidator::new().with_expected_len(expected);
-        let (clean, report) = validator.validate(records)?;
-        let times = reconstructed_times(&clean, expected);
+        let (times, report) = validated_times(workload, |v| v.validate(records))?;
         let plan =
             self.try_plan_degraded(workload, &times, rep_seed, report.degraded_fraction())?;
         Ok((plan, report))
@@ -288,6 +266,24 @@ impl StemRootSampler {
             cluster_workload_par(workload, times, &cfg, self.parallelism)
         }
     }
+}
+
+/// The trace-ingestion prologue every trace-driven entry point shares:
+/// rejects an empty workload, runs `validate` with a [`TraceValidator`]
+/// expecting one record per invocation, and reconstructs one time per
+/// invocation from the surviving records.
+pub(crate) fn validated_times(
+    workload: &Workload,
+    validate: impl FnOnce(
+        &TraceValidator,
+    ) -> Result<(Vec<TraceRecord>, DataQualityReport), ValidationError>,
+) -> Result<(Vec<f64>, DataQualityReport), StemError> {
+    if workload.num_invocations() == 0 {
+        return Err(StemError::EmptyWorkload);
+    }
+    let expected = workload.num_invocations() as u64;
+    let (clean, report) = validate(&TraceValidator::new().with_expected_len(expected))?;
+    Ok((reconstructed_times(&clean, expected), report))
 }
 
 /// The memo is an identity-free performance artifact; a clone starts

@@ -135,7 +135,9 @@ impl SimCache {
         }
     }
 
-    /// Shard-lock poisonings recovered so far (see [`SimCache::lock_shard`]).
+    /// Shard-lock poisonings recovered so far: a worker that panicked
+    /// while holding a shard lock poisons it, and the shard is cleared and
+    /// rebuilt, output-invisibly.
     pub fn poison_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
     }

@@ -4,7 +4,7 @@
 //! jitter": the deterministic timing core is computed once per distinct
 //! `(kernel, context, work_scale)` group ([`Workload::num_invocation_groups`])
 //! and each invocation then costs one `exp`. The pre-split per-invocation
-//! code is kept in [`reference`] and pinned bit-identical by
+//! code is kept in [`reference`](mod@reference) and pinned bit-identical by
 //! `tests/hotpath_equivalence.rs`.
 
 use crate::config::GpuConfig;
@@ -98,12 +98,7 @@ impl Simulator {
 
     /// Deterministic timing core of every invocation group, in group order
     /// (one full model evaluation per distinct `(kernel, context,
-    /// work_scale)` triple).
-    pub fn group_timings(&self, workload: &Workload) -> Vec<DeterministicTiming> {
-        self.group_timings_par(workload, stem_par::Parallelism::serial())
-    }
-
-    /// [`Simulator::group_timings`] spread across `par` threads; groups are
+    /// work_scale)` triple), spread across `par` threads; groups are
     /// independent, so the result is identical at any thread count.
     pub fn group_timings_par(
         &self,
@@ -125,28 +120,15 @@ impl Simulator {
     /// to the per-invocation reference path because the floating-point
     /// expressions are unchanged, only de-duplicated.
     pub fn run_full(&self, workload: &Workload) -> FullRun {
-        self.run_full_par(workload, stem_par::Parallelism::serial())
-    }
-
-    /// [`Simulator::run_full`] with the group precompute and the
-    /// per-invocation jitter map spread across `par` threads.
-    /// Per-invocation order and the left-to-right total-cycles sum are
-    /// preserved, so the result is bit-identical to the serial run at every
-    /// thread count.
-    pub fn run_full_par(&self, workload: &Workload, par: stem_par::Parallelism) -> FullRun {
-        let invocations = workload.invocations();
-        let per_invocation = stem_par::par_map_grouped(
-            par,
-            workload.num_invocation_groups(),
-            |g| {
-                let rep = &invocations[workload.group_representative(g as u32)];
-                deterministic_of_invocation(workload, rep, &self.config, self.options)
-            },
-            invocations.len(),
-            |i, groups: &[DeterministicTiming]| {
-                groups[workload.group_of(i) as usize].jittered_cycles(invocations[i].noise_z as f64)
-            },
-        );
+        let groups = self.group_timings_par(workload, stem_par::Parallelism::serial());
+        let per_invocation: Vec<f64> = workload
+            .invocations()
+            .iter()
+            .enumerate()
+            .map(|(i, inv)| {
+                groups[workload.group_of(i) as usize].jittered_cycles(inv.noise_z as f64)
+            })
+            .collect();
         let total_cycles = per_invocation.iter().sum();
         FullRun {
             total_cycles,
@@ -158,7 +140,7 @@ impl Simulator {
     /// vector: group precompute (optionally parallel), then a serial
     /// left-to-right streaming fold over the jittered cycles — bit-identical
     /// to `run_full(..).total_cycles`, with O(groups) instead of
-    /// O(invocations) memory. Campaign aggregation uses this.
+    /// O(invocations) memory.
     pub fn run_full_total(&self, workload: &Workload, par: stem_par::Parallelism) -> f64 {
         let groups = self.group_timings_par(workload, par);
         let mut total = 0.0;
@@ -205,22 +187,6 @@ pub mod reference {
             .iter()
             .map(|inv| sim.cycles(workload, inv))
             .collect();
-        let total_cycles = per_invocation.iter().sum();
-        FullRun {
-            total_cycles,
-            per_invocation,
-        }
-    }
-
-    /// Per-invocation [`Simulator::run_full_par`].
-    pub fn run_full_par(
-        sim: &Simulator,
-        workload: &Workload,
-        par: stem_par::Parallelism,
-    ) -> FullRun {
-        let invocations = workload.invocations();
-        let per_invocation =
-            stem_par::par_map_indexed(par, invocations, |_, inv| sim.cycles(workload, inv));
         let total_cycles = per_invocation.iter().sum();
         FullRun {
             total_cycles,
@@ -293,10 +259,11 @@ mod tests {
     fn parallel_full_run_is_bit_identical() {
         let w = &rodinia_suite(3)[0];
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let serial = sim.run_full(w);
+        let reference = reference::run_full(&sim, w);
+        assert_eq!(sim.run_full(w), reference);
         for threads in [1usize, 2, 3, 8] {
-            let par = sim.run_full_par(w, stem_par::Parallelism::with_threads(threads));
-            assert_eq!(par, serial, "threads = {threads}");
+            let total = sim.run_full_total(w, stem_par::Parallelism::with_threads(threads));
+            assert_eq!(total.to_bits(), reference.total_cycles.to_bits(), "threads = {threads}");
         }
     }
 

@@ -308,9 +308,9 @@ pub fn source_total(
 
 /// Streaming ground truth of an already-materialized workload — replays
 /// it as a block stream through the pipelined executor. Bit-identical to
-/// [`Simulator::run_full_total`] at every thread count; the campaign and
-/// `Pipeline` ground-truth paths run through here, so the streamed
-/// executor is the code under test everywhere totals are produced.
+/// [`Simulator::run_full_total`] at every thread count.
+/// `Pipeline::ground_truth_total` and the ground truth of every
+/// `Pipeline` run (campaign or not) come from here.
 ///
 /// # Errors
 ///

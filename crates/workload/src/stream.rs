@@ -1,5 +1,5 @@
 //! Block-streaming workload emission: the out-of-core counterpart of
-//! materialized [`Workload`](crate::Workload) construction.
+//! materialized [`Workload`] construction.
 //!
 //! A *block stream* is the sequence a streaming producer emits: first the
 //! workload's frozen tables (a *skeleton* — name, suite, kernel and

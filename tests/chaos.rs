@@ -13,6 +13,7 @@
 //! sampler all draw from the in-tree deterministic generator, so a failure
 //! replays exactly.
 
+use stem::core::EvalSummary;
 use stem::prelude::*;
 use stem::profile::validate::trace_to_csv;
 use stem::profile::ExecTimeProfiler;
@@ -213,4 +214,42 @@ fn composed_faults_accumulate_in_one_report() {
     assert!(report.missing_detected > 0, "{report}");
     assert!(report.out_of_order_fixed > 0, "{report}");
     assert!(summary.mean_error_pct < CLEAN_SLACK_PCT + 100.0 * report.degraded_fraction());
+}
+
+/// Fault plans and cancellation reach every run, not only campaigns:
+/// `run_streamed`, `run_from_profile` and `run_campaign` share one run
+/// engine, so at 1 and 4 threads each of them (a) recovers injected
+/// worker panics to the unfaulted bits, (b) stops after a simulated kill
+/// with the completed-unit count, and (c) admits no unit once the cancel
+/// flag is raised.
+#[test]
+fn exec_faults_and_cancellation_reach_every_run() {
+    type Run<'a> = &'a dyn Fn(&Pipeline) -> Result<Vec<EvalSummary>, StemError>;
+    let sampler = StemRootSampler::new(StemConfig::default());
+    let w = &rodinia_suite(21)[0];
+    let records = clean_records(w);
+    let snap = std::env::temp_dir().join(format!("stem-chaos-runs-{}.snap", std::process::id()));
+    let streamed = |p: &Pipeline| p.run_streamed(&sampler, w).map(|s| vec![s]);
+    let profiled = |p: &Pipeline| p.run_from_profile(&sampler, w, &records).map(|(s, _)| vec![s]);
+    let one = std::slice::from_ref(w);
+    let campaign = |p: &Pipeline| p.run_campaign(&sampler, one, &snap).map(|r| r.summaries);
+    let runs: [(&str, Run<'_>); 3] =
+        [("run_streamed", &streamed), ("run_from_profile", &profiled), ("run_campaign", &campaign)];
+    for threads in [1usize, 4] {
+        let base = pipeline(2).with_parallelism(Parallelism::with_threads(threads));
+        let faulted = |plan: ExecFaultPlan| base.clone().with_exec_faults(plan);
+        for (name, run) in runs {
+            let clean = run(&base).expect("unfaulted run");
+            let recovered = run(&faulted(ExecFaultPlan::new(5).with_worker_panics(1.0, 1)));
+            assert_eq!(recovered.as_ref(), Ok(&clean), "{name} at {threads} threads");
+            let killed = run(&faulted(ExecFaultPlan::new(5).with_kill_after_units(1)));
+            let want = Err(StemError::Interrupted { completed_units: 1 });
+            assert_eq!(killed, want, "{name} at {threads} threads: kill after one unit");
+            let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+            let cancelled = run(&base.clone().with_cancel_flag(cancel));
+            let want = Err(StemError::Interrupted { completed_units: 0 });
+            assert_eq!(cancelled, want, "{name} at {threads} threads: raised cancel flag");
+        }
+    }
+    let _ = std::fs::remove_file(&snap);
 }

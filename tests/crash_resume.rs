@@ -20,6 +20,7 @@
 
 use std::path::PathBuf;
 
+use stem::core::eval::evaluate_total_par;
 use stem::prelude::*;
 
 /// Reps per workload; 3 workloads x 2 reps = 6 campaign units.
@@ -332,17 +333,21 @@ fn exhausted_retry_budget_is_a_typed_task_failure() {
 #[test]
 fn campaign_matches_the_plain_pipeline_bitwise() {
     // The checkpointing machinery must be pure bookkeeping: a campaign's
-    // per-workload summaries equal what `Pipeline::run` computes directly.
+    // per-workload summaries equal the unsupervised evaluator's, scored
+    // against the in-memory ground truth, so the oracle stays outside the
+    // run engine.
     let dir = scratch("campaign-vs-run");
     let workloads = suite_workloads();
     let sampler = StemRootSampler::new(StemConfig::default());
-    let pipe = pipeline(4);
+    let pipe = pipeline(4).with_seed(7);
     let report = pipe
         .run_campaign(&sampler, &workloads, &dir.join("campaign.snap"))
         .expect("campaign");
     for (w, summary) in workloads.iter().zip(&report.summaries) {
-        let direct = pipe.run(&sampler, w);
-        assert_eq!(*summary, direct, "{}: campaign bits differ from run()", w.name());
+        let (sim, par) = (pipe.simulator(), pipe.parallelism());
+        let truth = sim.run_full(w).total_cycles;
+        let direct = evaluate_total_par(&sampler, w, sim, truth, REPS, 7, par);
+        assert_eq!(*summary, direct, "{}: campaign differs from evaluate_total_par", w.name());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -189,7 +189,7 @@ fn full_pipeline_through_facade() {
     let w = suite.iter().find(|w| w.name() == "hotspot").expect("hotspot");
     let pipeline = Pipeline::new(rtx()).with_reps(3).expect("positive reps").with_seed(7);
     let sampler = StemRootSampler::new(StemConfig::default());
-    let summary = pipeline.run(&sampler, w);
+    let summary = pipeline.run_streamed(&sampler, w).expect("clean run");
     assert_eq!(summary.method, "STEM");
     assert_eq!(summary.workload, "hotspot");
     assert!(summary.mean_error_pct < 6.0);

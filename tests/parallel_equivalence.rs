@@ -7,10 +7,10 @@
 //! pipeline to that promise on one workload from each of the three
 //! synthetic suites, at threads ∈ {1, 2, 3, 8}:
 //!
-//! * ground-truth cycle totals ([`Pipeline::full_run`]),
+//! * ground-truth cycle totals ([`Pipeline::ground_truth_total`]),
 //! * sampling plans and ROOT cluster assignments
 //!   ([`StemRootSampler::with_parallelism`]),
-//! * clean evaluations ([`Pipeline::run`]),
+//! * clean evaluations ([`Pipeline::run_streamed`]),
 //! * the `RepairAndDegrade` chaos path
 //!   ([`Pipeline::run_from_profile`] on a faulted trace),
 //! * and the streamed ground-truth executor, fed by a generator
@@ -19,10 +19,11 @@
 //!   plus the one-pass fingerprint fold of every generator in the tree.
 //!
 //! A final golden check pins `threads = 1` (and `Parallelism::serial()`)
-//! to the pre-parallelism behavior: the same per-rep results as a manual
-//! [`evaluate_once`] loop, so the serial goldens never move.
+//! to the pre-parallelism behavior: [`Pipeline::run_streamed`] returns the
+//! same per-rep results as a manual [`evaluate_once`] loop, so the serial
+//! goldens never move.
 
-use stem::core::eval::{evaluate_once, EvalResult};
+use stem::core::eval::{evaluate_once, EvalResult, EvalSummary};
 use stem::prelude::*;
 use stem::profile::ExecTimeProfiler;
 use stem::sim::simulator::reference;
@@ -55,6 +56,11 @@ fn pipeline_with(par: Parallelism) -> Pipeline {
         .with_parallelism(par)
 }
 
+/// `run_streamed` of `sampler` on `w` at thread budget `par`.
+fn run_at(par: Parallelism, sampler: &dyn KernelSampler, w: &Workload) -> EvalSummary {
+    pipeline_with(par).run_streamed(sampler, w).expect("clean run")
+}
+
 /// A clean profiler trace for `w`, as in the chaos suite.
 fn clean_records(w: &Workload) -> Vec<TraceRecord> {
     let times = ExecTimeProfiler::new(GpuConfig::rtx2080(), 0xC0FFEE).profile(w);
@@ -64,13 +70,14 @@ fn clean_records(w: &Workload) -> Vec<TraceRecord> {
 #[test]
 fn ground_truth_cycles_are_bit_identical_across_thread_counts() {
     for w in &suite_workloads() {
-        let serial = pipeline_with(Parallelism::serial()).full_run(w);
+        let total_at =
+            |par| pipeline_with(par).ground_truth_total(w).expect("valid workload").to_bits();
+        let serial = total_at(Parallelism::serial());
         for threads in THREADS {
-            let par = pipeline_with(Parallelism::with_threads(threads)).full_run(w);
             assert_eq!(
-                par,
+                total_at(Parallelism::with_threads(threads)),
                 serial,
-                "{}: full run differs at threads = {threads}",
+                "{}: ground truth differs at threads = {threads}",
                 w.name()
             );
         }
@@ -106,9 +113,9 @@ fn plans_and_clusters_are_bit_identical_across_thread_counts() {
 fn clean_evaluation_is_bit_identical_across_thread_counts() {
     for w in &suite_workloads() {
         let sampler = StemRootSampler::new(StemConfig::paper());
-        let serial = pipeline_with(Parallelism::serial()).run(&sampler, w);
+        let serial = run_at(Parallelism::serial(), &sampler, w);
         for threads in THREADS {
-            let par = pipeline_with(Parallelism::with_threads(threads)).run(&sampler, w);
+            let par = run_at(Parallelism::with_threads(threads), &sampler, w);
             assert_eq!(
                 par,
                 serial,
@@ -159,7 +166,7 @@ fn new_samplers_on_adversarial_scenarios_are_bit_identical() {
         vec![Box::new(RssSampler::new()), Box::new(TwoPhaseSampler::new())];
     for sampler in &samplers {
         let serial_plan = sampler.plan(&w, BASE_SEED);
-        let serial = pipeline_with(Parallelism::serial()).run(sampler.as_ref(), &w);
+        let serial = run_at(Parallelism::serial(), sampler.as_ref(), &w);
         for threads in [1usize, 4] {
             assert_eq!(
                 sampler.plan(&w, BASE_SEED),
@@ -167,7 +174,7 @@ fn new_samplers_on_adversarial_scenarios_are_bit_identical() {
                 "{}: plan differs at threads = {threads}",
                 sampler.name()
             );
-            let par = pipeline_with(Parallelism::with_threads(threads)).run(sampler.as_ref(), &w);
+            let par = run_at(Parallelism::with_threads(threads), sampler.as_ref(), &w);
             assert_eq!(
                 par,
                 serial,
@@ -194,7 +201,7 @@ fn threads_one_matches_the_manual_serial_loop() {
             })
             .collect();
         for par in [Parallelism::serial(), Parallelism::with_threads(1)] {
-            let summary = pipeline_with(par).run_against(&sampler, w, &full);
+            let summary = run_at(par, &sampler, w);
             assert_eq!(
                 summary.results,
                 manual,
