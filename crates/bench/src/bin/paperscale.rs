@@ -14,10 +14,12 @@
 //!
 //! `--mode streamed` (default) never materializes a workload: every
 //! section runs off block streams, so peak RSS stays a few blocks no
-//! matter the scale. `--mode in-memory` materializes each suite and runs
-//! the in-memory grouped fold (`run_full_total`) — run it as a *separate
-//! process* to get the before/after peak-RSS comparison, since `VmHWM`
-//! is process-wide and monotonic.
+//! matter the scale. `--mode in-memory` materializes each suite, then times
+//! the in-memory grouped fold (`run_full_total`, section
+//! `ground_truth_in_memory`) and the streamed replay of the same workloads
+//! (`workload_total`, section `ground_truth_stream_replay`) separately —
+//! run it as a *separate process* to get the before/after peak-RSS
+//! comparison, since `VmHWM` is process-wide and monotonic.
 //!
 //! The bin asserts the streamed totals are bit-identical at every thread
 //! count (and, in in-memory mode, identical to the in-memory fold), so the
@@ -223,6 +225,20 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
             for w in &workloads {
                 totals.push(sim.run_full_total(w, par));
             }
+            let s = Section {
+                name: format!("{suite_name}/ground_truth_in_memory"),
+                threads,
+                wall_ns: t.elapsed().as_nanos(),
+                units: invocations,
+                peak_rss_kb: peak_rss_kb(),
+            };
+            log_section(&s);
+            sections.push(s);
+
+            // The streamed replay every `Pipeline` run uses, over the same
+            // materialized workloads: its own section, cross-checked
+            // bitwise against the in-memory fold.
+            let t = Instant::now();
             let streamed: Vec<f64> = workloads
                 .iter()
                 .map(|w| {
@@ -237,15 +253,8 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
                 })
                 .collect::<Result<_, _>>()
                 .map_err(ground_truth)?;
-            for (a, b) in totals.iter().zip(&streamed) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{suite_name}: streamed total diverged from reference at {threads} threads"
-                );
-            }
             let s = Section {
-                name: format!("{suite_name}/ground_truth_in_memory"),
+                name: format!("{suite_name}/ground_truth_stream_replay"),
                 threads,
                 wall_ns: t.elapsed().as_nanos(),
                 units: invocations,
@@ -253,6 +262,13 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
             };
             log_section(&s);
             sections.push(s);
+            for (a, b) in totals.iter().zip(&streamed) {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "{suite_name}: streamed total diverged from reference at {threads} threads"
+                );
+            }
         }
     }
     Ok(sections)

@@ -1,4 +1,5 @@
-//! Paper-scale hot-path benchmark: times ground-truth simulation,
+//! Paper-scale hot-path benchmark: times ground-truth simulation (the
+//! in-memory fold and the streamed replay `Pipeline` runs use),
 //! clustering (plan construction), and the end-to-end pipeline per suite,
 //! and emits a machine-readable `BENCH_hotpath.json` so every PR can be
 //! compared against the previous perf trajectory point.
@@ -20,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gpu_workload::suites::HuggingfaceScale;
-use gpu_workload::{SuiteKind, Workload};
+use gpu_workload::{SuiteKind, Workload, DEFAULT_BLOCK_LEN};
 use stem_bench::harness::ExperimentOptions;
 use stem_bench::memuse::peak_rss_kb;
 use stem_core::sampler::KernelSampler;
@@ -111,9 +112,9 @@ fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> Suite
 
     // Ground-truth simulation: the full analytic model over every invocation.
     let t = Instant::now();
-    let mut total_cycles = 0.0_f64;
+    let mut totals = Vec::with_capacity(workloads.len());
     for w in &workloads {
-        total_cycles += sim.run_full_total(w, par);
+        totals.push(sim.run_full_total(w, par));
     }
     sections.push(Section {
         name: "ground_truth_sim",
@@ -121,7 +122,34 @@ fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> Suite
         units: invocations,
         peak_rss_kb: peak_rss_kb(),
     });
-    assert!(total_cycles.is_finite() && total_cycles > 0.0);
+    assert!(totals.iter().all(|t| t.is_finite() && *t > 0.0));
+
+    // The same ground truth through the streamed replay every `Pipeline`
+    // run uses (block stream, group index, fingerprint refold), checked
+    // bitwise against the in-memory fold above.
+    let t = Instant::now();
+    for (w, expected) in workloads.iter().zip(&totals) {
+        let streamed = gpu_sim::workload_total(
+            &sim,
+            par,
+            w,
+            DEFAULT_BLOCK_LEN,
+            gpu_sim::DEFAULT_CHANNEL_BLOCKS,
+        )
+        .expect("generated workloads stream cleanly");
+        assert_eq!(
+            streamed.total_cycles.to_bits(),
+            expected.to_bits(),
+            "{}: streamed ground truth diverged from the in-memory fold",
+            w.name()
+        );
+    }
+    sections.push(Section {
+        name: "ground_truth_streamed",
+        wall_ns: t.elapsed().as_nanos(),
+        units: invocations,
+        peak_rss_kb: peak_rss_kb(),
+    });
 
     // Clustering / plan construction (profiler + ROOT + k-means + sizing).
     let t = Instant::now();

@@ -30,8 +30,7 @@
 use crate::exec::{deterministic_of_invocation, DeterministicTiming};
 use crate::simulator::Simulator;
 use gpu_workload::stream::{BlockSink, ChannelSink, SinkError, StreamItem, StreamSummary};
-use gpu_workload::{FingerprintFold, Invocation, KernelId, Workload, WorkloadSource};
-use std::collections::HashMap;
+use gpu_workload::{FingerprintFold, GroupIndex, Invocation, KernelId, Workload, WorkloadSource};
 use std::sync::Mutex;
 
 /// Default bound on undelivered blocks in the pipeline channel. Peak
@@ -117,8 +116,12 @@ impl std::error::Error for StreamRunError {}
 struct StreamFold<'a> {
     sim: &'a Simulator,
     par: stem_par::Parallelism,
-    skeleton: Option<Workload>,
-    memo: HashMap<(u32, u16, u32), DeterministicTiming>,
+    /// The frozen tables and the group index over them, once they arrived.
+    tables: Option<(Workload, GroupIndex)>,
+    /// `timings[g]` is the deterministic timing of group `g`.
+    timings: Vec<DeterministicTiming>,
+    /// Group id of each invocation of the current block (reused buffer).
+    ids: Vec<u32>,
     fingerprint: FingerprintFold,
     total: f64,
     count: u64,
@@ -129,8 +132,9 @@ impl<'a> StreamFold<'a> {
         StreamFold {
             sim,
             par,
-            skeleton: None,
-            memo: HashMap::new(),
+            tables: None,
+            timings: Vec::new(),
+            ids: Vec::new(),
             fingerprint: FingerprintFold::new(),
             total: 0.0,
             count: 0,
@@ -138,7 +142,7 @@ impl<'a> StreamFold<'a> {
     }
 
     fn tables(&mut self, skeleton: Workload) -> Result<(), StreamRunError> {
-        if self.skeleton.is_some() {
+        if self.tables.is_some() {
             return Err(StreamRunError::DuplicateTables);
         }
         let contexts: Vec<_> = (0..skeleton.kernels().len())
@@ -150,17 +154,18 @@ impl<'a> StreamFold<'a> {
             skeleton.kernels(),
             &contexts,
         );
-        self.skeleton = Some(skeleton);
+        let index = GroupIndex::new(&contexts);
+        self.tables = Some((skeleton, index));
         Ok(())
     }
 
     fn block(&mut self, invocations: Vec<Invocation>) -> Result<(), StreamRunError> {
-        let Some(skeleton) = self.skeleton.as_ref() else {
+        let Some((skeleton, index)) = self.tables.as_mut() else {
             return Err(StreamRunError::MissingTables);
         };
         // Validate the whole block before timing any of it: a stream that
         // escaped checksumming must yield a typed error, never garbage
-        // cycles or an index panic.
+        // cycles or an index panic — the group index trusts its input.
         for (offset, inv) in invocations.iter().enumerate() {
             let index = self.count + offset as u64;
             if inv.kernel.index() >= skeleton.kernels().len() {
@@ -182,39 +187,31 @@ impl<'a> StreamFold<'a> {
                 });
             }
         }
-        // Deterministic cores for groups first seen in this block, in
-        // first-appearance order. Each core depends only on the tables
-        // and the group key, so computing them in parallel (and in
-        // whatever block they first appear) cannot change their values.
-        let mut fresh: Vec<(u32, u16, u32)> = Vec::new();
+        // Group ids, and representatives of the groups first seen in this
+        // block in first-appearance order (= id order). Each deterministic
+        // core depends only on the tables and the group key, so computing
+        // them in parallel (and in whatever block they first appear)
+        // cannot change their values.
+        self.ids.clear();
         let mut representatives: Vec<&Invocation> = Vec::new();
         for inv in &invocations {
-            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-            if !self.memo.contains_key(&key) && !fresh.contains(&key) {
-                fresh.push(key);
+            let (g, fresh) = index.intern(inv);
+            if fresh {
                 representatives.push(inv);
             }
+            self.ids.push(g);
         }
         let timings = stem_par::par_map_indexed(self.par, &representatives, |_, inv| {
             deterministic_of_invocation(skeleton, inv, self.sim.config(), self.sim.options())
         });
-        for (key, timing) in fresh.into_iter().zip(timings) {
-            self.memo.insert(key, timing);
-        }
+        self.timings.extend(timings);
         // Serial, stream-order jitter fold: bit-identical to the
         // in-memory `run_full_total` loop.
-        for inv in &invocations {
-            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-            let Some(timing) = self.memo.get(&key) else {
-                return Err(StreamRunError::InvalidInvocation {
-                    index: self.count,
-                    message: "group timing missing after precompute".to_string(),
-                });
-            };
+        for (inv, &g) in invocations.iter().zip(&self.ids) {
             self.fingerprint.eat_invocation(inv);
-            self.total += timing.jittered_cycles(inv.noise_z as f64);
-            self.count += 1;
+            self.total += self.timings[g as usize].jittered_cycles(inv.noise_z as f64);
         }
+        self.count += invocations.len() as u64;
         Ok(())
     }
 }
@@ -282,7 +279,7 @@ where
         total_cycles: fold.total,
         invocations: fold.count,
         fingerprint,
-        groups: fold.memo.len(),
+        groups: fold.timings.len(),
     })
 }
 
@@ -428,6 +425,49 @@ mod tests {
             result,
             Err(StreamRunError::InvalidInvocation { index: 0, .. })
         ));
+    }
+
+    /// A bad invocation in a later block is rejected with its stream
+    /// index before the group index sees it.
+    #[test]
+    fn bad_invocation_in_later_block_is_typed_error_with_stream_index() {
+        let sim = sim();
+        let w = rodinia_sources(3)[0].materialize();
+        let good = &w.invocations()[..100];
+        let contexts = w.contexts_of(KernelId(0)).len();
+        let mut bad_context = good[7];
+        bad_context.kernel = KernelId(0);
+        bad_context.context = u16::try_from(contexts).expect("small context table");
+        let mut nan_work = good[7];
+        nan_work.work_scale = f32::NAN;
+        let mut zero_work = good[7];
+        zero_work.work_scale = 0.0;
+        for (what, bad) in [
+            ("context", bad_context),
+            ("NaN work", nan_work),
+            ("zero work", zero_work),
+        ] {
+            let mut late = good[..10].to_vec();
+            late[7] = bad;
+            let result: Result<StreamingTotal, StreamRunError> =
+                run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, |sink| {
+                    sink.tables(&w)?;
+                    sink.block(&good[..64])?;
+                    sink.block(&good[64..])?;
+                    sink.block(&late)?;
+                    Ok(StreamSummary {
+                        fingerprint: 0,
+                        invocations: 110,
+                    })
+                });
+            assert!(
+                matches!(
+                    result,
+                    Err(StreamRunError::InvalidInvocation { index: 107, .. })
+                ),
+                "{what}: {result:?}"
+            );
+        }
     }
 
     #[test]

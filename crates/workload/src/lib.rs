@@ -54,4 +54,4 @@ pub use metrics::{MetricCategory, MetricKind, MetricVector, METRIC_COUNT};
 pub use stream::{
     BlockSink, ChannelSink, CollectSink, SinkError, StreamItem, StreamSummary, DEFAULT_BLOCK_LEN,
 };
-pub use trace::{FingerprintFold, SuiteKind, Workload};
+pub use trace::{FingerprintFold, GroupIndex, SuiteKind, Workload};

@@ -5,7 +5,7 @@ use crate::context::RuntimeContext;
 use crate::error::{WorkloadError, WorkloadErrorKind};
 use crate::invocation::{Invocation, KernelId};
 use crate::kernel::KernelClass;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Which benchmark suite a workload belongs to (drives evaluation
 /// aggregation and default sampling rates for the Random baseline).
@@ -46,7 +46,8 @@ pub struct Workload {
     /// sharing `(kernel, context, work_scale)` are timing-identical up to
     /// their noise draw, so simulators precompute per group and stream the
     /// per-invocation jitter. Derived deterministically from `invocations`
-    /// (first occurrence assigns the next id, so ids follow stream order).
+    /// by a [`GroupIndex`] (first occurrence assigns the next id, so ids
+    /// follow stream order).
     group_of: Vec<u32>,
     /// `group_representatives[g]` is the lowest invocation index in group `g`.
     group_representatives: Vec<usize>,
@@ -139,18 +140,106 @@ fn content_fingerprint(
     fold.finish()
 }
 
+/// Marks a cell no invocation has reached yet.
+const UNSEEN: u32 = u32::MAX;
+
+/// First-occurrence timing-group index over a workload's frozen tables,
+/// shared by workload construction and the streamed ground-truth fold.
+///
+/// Kernel and context are bounded by the tables, so they address a dense
+/// *cell* (`offset[kernel] + context`). Almost every cell sees a single
+/// work scale, which is answered from the cell itself without hashing;
+/// further work scales of a cell (Rodinia `gaussian`'s shrinking
+/// submatrices) fall back to one hashed lookup keyed by `(cell,
+/// work_scale bits)`.
+///
+/// Ids are `0, 1, 2, …` in the order their `(kernel, context,
+/// work_scale-bits)` key first appears, so feeding the same invocations
+/// in the same order — all at once or block by block — yields the same
+/// ids.
+#[derive(Debug)]
+pub struct GroupIndex {
+    /// `offsets[k]` is the first cell of kernel `k`.
+    offsets: Vec<usize>,
+    /// Per cell: the work-scale bits of its first group and that group's
+    /// id (`UNSEEN` until the cell is reached).
+    first: Vec<(u32, u32)>,
+    /// Groups beyond a cell's first, keyed by `(cell, work_scale bits)`.
+    rest: HashMap<(usize, u32), u32>,
+    /// Groups minted so far; the next id.
+    len: u32,
+}
+
+impl GroupIndex {
+    /// An empty index over the per-kernel context tables `contexts`.
+    pub fn new(contexts: &[Vec<RuntimeContext>]) -> Self {
+        let mut offsets = Vec::with_capacity(contexts.len());
+        let mut cells = 0;
+        for table in contexts {
+            offsets.push(cells);
+            cells += table.len();
+        }
+        GroupIndex {
+            offsets,
+            first: vec![(0, UNSEEN); cells],
+            rest: HashMap::new(),
+            len: 0,
+        }
+    }
+
+    /// The group of `inv`, and whether this call minted it (its first
+    /// occurrence). The caller validates `inv` against the tables first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inv`'s kernel is outside the tables, or if the groups
+    /// would exceed `u32::MAX - 1`. A context outside its kernel's table
+    /// panics when it runs past the last cell and otherwise lands in a
+    /// neighbouring kernel's cell, so validation is the caller's contract.
+    #[inline]
+    pub fn intern(&mut self, inv: &Invocation) -> (u32, bool) {
+        let cell = self.offsets[inv.kernel.index()] + usize::from(inv.context);
+        let bits = inv.work_scale.to_bits();
+        let slot = &mut self.first[cell];
+        if slot.1 == UNSEEN {
+            let g = mint(&mut self.len);
+            *slot = (bits, g);
+            return (g, true);
+        }
+        if slot.0 == bits {
+            return (slot.1, false);
+        }
+        let next = self.len;
+        let g = *self.rest.entry((cell, bits)).or_insert(next);
+        if g == next {
+            mint(&mut self.len);
+            return (g, true);
+        }
+        (g, false)
+    }
+}
+
+/// Takes the next group id.
+fn mint(len: &mut u32) -> u32 {
+    let g = *len;
+    assert!(g < UNSEEN, "timing groups exceed u32 ids");
+    *len += 1;
+    g
+}
+
 /// Assigns every invocation its timing group: first occurrence of a
 /// `(kernel, context, work_scale-bits)` triple mints the next group id.
-fn timing_groups(invocations: &[Invocation]) -> (Vec<u32>, Vec<usize>) {
-    use std::collections::HashMap;
-    let mut ids: HashMap<(u32, u16, u32), u32> = HashMap::new();
+/// `invocations` must already be validated against `contexts`.
+fn timing_groups(
+    contexts: &[Vec<RuntimeContext>],
+    invocations: &[Invocation],
+) -> (Vec<u32>, Vec<usize>) {
+    let mut index = GroupIndex::new(contexts);
     let mut group_of = Vec::with_capacity(invocations.len());
     let mut representatives = Vec::new();
     for (i, inv) in invocations.iter().enumerate() {
-        let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-        let next = representatives.len() as u32;
-        let g = *ids.entry(key).or_insert(next);
-        if g == next && representatives.len() == g as usize {
+        let (g, fresh) = index.intern(inv);
+        if fresh {
             representatives.push(i);
         }
         group_of.push(g);
@@ -223,7 +312,7 @@ impl Workload {
                 ));
             }
         }
-        let (group_of, group_representatives) = timing_groups(&invocations);
+        let (group_of, group_representatives) = timing_groups(&contexts, &invocations);
         let fingerprint = content_fingerprint(&name, suite, &kernels, &contexts, &invocations);
         Ok(Workload {
             name,
@@ -377,6 +466,8 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::kernel::KernelClassBuilder;
+    use crate::scenarios::{bursty_interference, longtail_skew, phase_drift};
+    use crate::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
 
     fn tiny() -> Workload {
         let k0 = KernelClassBuilder::new("a").build();
@@ -524,5 +615,111 @@ mod tests {
     fn suite_display() {
         assert_eq!(SuiteKind::Rodinia.to_string(), "rodinia");
         assert_eq!(SuiteKind::Huggingface.to_string(), "huggingface");
+    }
+
+    /// Oracle: one hash map over the whole `(kernel, context,
+    /// work_scale-bits)` key, each first occurrence minting the next id.
+    fn hashed_groups(w: &Workload) -> (Vec<u32>, Vec<usize>) {
+        let mut ids: HashMap<(u32, u16, u32), u32> = HashMap::new();
+        let mut group_of = Vec::with_capacity(w.num_invocations());
+        let mut representatives = Vec::new();
+        for (i, inv) in w.invocations().iter().enumerate() {
+            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
+            let next = representatives.len() as u32;
+            let g = *ids.entry(key).or_insert(next);
+            if g == next {
+                representatives.push(i);
+            }
+            group_of.push(g);
+        }
+        (group_of, representatives)
+    }
+
+    fn assert_matches_hashed(w: &Workload) {
+        let (group_of, representatives) = hashed_groups(w);
+        assert_eq!(
+            w.num_invocation_groups(),
+            representatives.len(),
+            "{}",
+            w.name()
+        );
+        for (i, &g) in group_of.iter().enumerate() {
+            assert_eq!(w.group_of(i), g, "{}: invocation {i}", w.name());
+        }
+        for (g, &rep) in representatives.iter().enumerate() {
+            assert_eq!(
+                w.group_representative(g as u32),
+                rep,
+                "{}: group {g}",
+                w.name()
+            );
+        }
+    }
+
+    #[test]
+    fn dense_index_matches_hashed_assignment_on_every_generator() {
+        let seed = 7;
+        let mut workloads = rodinia_suite(seed);
+        workloads.extend(casio_suite(seed));
+        workloads.extend(huggingface_suite(seed, HuggingfaceScale::custom(0.01)));
+        for source in [
+            phase_drift(seed),
+            bursty_interference(seed),
+            longtail_skew(seed),
+        ] {
+            workloads.push(source.materialize());
+        }
+        for w in &workloads {
+            assert_matches_hashed(w);
+        }
+        // The many-work-scales shape the hashed fallback exists for.
+        let gaussian = workloads
+            .iter()
+            .find(|w| w.name() == "gaussian")
+            .expect("rodinia has gaussian");
+        assert!(gaussian.num_invocation_groups() > 1000);
+    }
+
+    #[test]
+    fn thousands_of_work_scales_in_one_cell() {
+        let kernel = KernelClassBuilder::new("k").build();
+        // 1500 distinct work scales in cell (0, 0), each revisited, with a
+        // second cell's invocations interleaved.
+        let mut invocations = Vec::new();
+        for round in 0..2 {
+            for s in 0..1500 {
+                let work = 1.0 + s as f32 * 0.25;
+                invocations.push(Invocation::with_work(KernelId(0), 0, work, round as f32));
+                if s % 100 == 0 {
+                    invocations.push(Invocation::with_work(KernelId(0), 1, 2.0, 0.0));
+                }
+            }
+        }
+        let w = Workload::new(
+            "wide",
+            SuiteKind::Custom,
+            vec![kernel],
+            vec![vec![
+                RuntimeContext::neutral(),
+                RuntimeContext::neutral().with_work(2.0),
+            ]],
+            invocations,
+        );
+        assert_eq!(w.num_invocation_groups(), 1501);
+        assert_matches_hashed(&w);
+    }
+
+    #[test]
+    fn ids_follow_first_occurrence_across_calls() {
+        let ctx = RuntimeContext::neutral();
+        let mut index = GroupIndex::new(&[vec![ctx, ctx], vec![ctx]]);
+        let a = Invocation::with_work(KernelId(0), 1, 1.0, 0.0);
+        let b = Invocation::with_work(KernelId(1), 0, 1.0, 0.0);
+        let c = Invocation::with_work(KernelId(0), 1, 3.0, 0.0);
+        assert_eq!(index.intern(&a), (0, true));
+        assert_eq!(index.intern(&b), (1, true));
+        assert_eq!(index.intern(&a), (0, false));
+        assert_eq!(index.intern(&c), (2, true));
+        assert_eq!(index.intern(&c), (2, false));
     }
 }

@@ -246,7 +246,9 @@ fn streamed_fingerprint_equals_materialized_everywhere() {
 
 /// The pipelined generate→simulate→fold executor, fed by the generator
 /// or by a replay of the materialized workload, matches the in-memory
-/// reference totals bit for bit at threads 1 and 4.
+/// reference totals and group counts bit for bit at threads 1 and 4. The
+/// 64-invocation blocks make groups first appear in late blocks (Rodinia
+/// `gaussian` mints a new group on most of its calls).
 #[test]
 fn streamed_totals_match_in_memory_reference_across_suites_and_threads() {
     let sim = Simulator::new(GpuConfig::rtx2080());
@@ -256,30 +258,38 @@ fn streamed_totals_match_in_memory_reference_across_suites_and_threads() {
         ("huggingface", huggingface_sources(7, HuggingfaceScale::custom(0.01))),
     ];
     for (suite, sources) in suites {
-        // Two workloads per suite keep the gate fast while still covering
-        // multi-kernel and multi-context table shapes.
-        for source in sources.iter().take(2) {
+        // Two workloads per suite, plus Rodinia's `gaussian`, keep the
+        // gate fast while still covering multi-kernel and multi-context
+        // table shapes and a cell with ~1000 work scales.
+        let picked = sources
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| *i < 2 || s.name() == "gaussian")
+            .map(|(_, s)| s);
+        for source in picked {
             let w = source.materialize();
             let expected = sim.run_full_total(&w, Parallelism::serial());
             // The retained per-invocation reference path must agree with
             // the total-only fold before we pin the streamed paths to it.
             let full = reference::run_full(&sim, &w);
             assert_eq!(full.total_cycles.to_bits(), expected.to_bits());
-            for threads in [1_usize, 4] {
+            for (block_len, threads) in [(2048, 1_usize), (2048, 4), (64, 1), (64, 4)] {
                 let par = Parallelism::with_threads(threads);
-                let generated = source_total(&sim, par, source, 2048, DEFAULT_CHANNEL_BLOCKS)
+                let generated = source_total(&sim, par, source, block_len, DEFAULT_CHANNEL_BLOCKS)
                     .expect("generate stream");
-                let replayed = workload_total(&sim, par, &w, 2048, DEFAULT_CHANNEL_BLOCKS)
+                let replayed = workload_total(&sim, par, &w, block_len, DEFAULT_CHANNEL_BLOCKS)
                     .expect("replay stream");
                 for (path, got) in [("generate", &generated), ("replay", &replayed)] {
                     assert_eq!(
                         got.total_cycles.to_bits(),
                         expected.to_bits(),
-                        "{suite}/{}: {path} path diverged at {threads} threads",
+                        "{suite}/{}: {path} path diverged at {threads} threads, \
+                         {block_len}-invocation blocks",
                         source.name()
                     );
                     assert_eq!(got.fingerprint, w.fingerprint());
                     assert_eq!(got.invocations, w.num_invocations() as u64);
+                    assert_eq!(got.groups, w.num_invocation_groups());
                 }
             }
         }
