@@ -43,6 +43,16 @@ if ! git diff --quiet -- crates/bench/results/coverage_summary.json 2>/dev/null;
   git --no-pager diff -- crates/bench/results/coverage_summary.json >&2
   exit 1
 fi
+# Committed paper results: `repro all` is deterministic, so a rerun must
+# reproduce every tracked CSV under results/ byte for byte. A changed
+# number shows up as a diff in review, not as silently stale output.
+STEM_RESULTS_DIR=results \
+  cargo run -p stem-bench --release --offline --bin repro -- all > /dev/null
+if ! git diff --quiet -- results/; then
+  echo "results/ drifted from the committed CSVs (rerun \`repro all\` and review):" >&2
+  git --no-pager diff --stat -- results/ >&2
+  exit 1
+fi
 # Hot-path perf baseline: informational only, never a gate (CI machines
 # are too noisy for wall-clock thresholds). Reference numbers live in
 # EXPERIMENTS.md; regenerate the committed baseline with
@@ -50,3 +60,10 @@ fi
 STEM_THREADS=1 cargo run -p stem-bench --release --offline --bin perf -- \
   --hf-scale 0.02 --reps 2 --out target/BENCH_hotpath_ci.json || \
   echo "perf baseline run failed (informational, not a gate)"
+# No step above may write into the tree: a build, test or tool that leaves
+# a modified or untracked file behind fails CI.
+if [ -n "$(git status --porcelain)" ]; then
+  echo "the CI run left the working tree dirty:" >&2
+  git status --porcelain >&2
+  exit 1
+fi

@@ -81,10 +81,20 @@ impl Table {
 }
 
 /// Where experiment CSVs are written.
+#[cfg(not(test))]
 pub fn results_dir() -> PathBuf {
     std::env::var_os("STEM_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// Unit tests run the experiments from inside the source tree; their
+/// reduced-size output goes to the temp dir, never into it. One fixed
+/// directory, so repeated runs overwrite rather than accumulate; the
+/// writes are atomic, so concurrent runs cannot tear a file.
+#[cfg(test)]
+pub fn results_dir() -> PathBuf {
+    std::env::temp_dir().join("stem-bench-unit-results")
 }
 
 /// Writes `contents` to `results_dir()/name`, creating the directory.

@@ -20,7 +20,7 @@
 
 pub mod allowlist;
 pub mod callgraph;
-pub mod lexer;
+pub mod lines;
 pub mod parse;
 pub mod rules;
 pub mod semantic;
@@ -152,7 +152,7 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
         let found = if rel_str.ends_with("Cargo.toml") {
             rules::check_manifest(&rel_str, &text)
         } else {
-            let found = rules::check_rust_file(&rel_str, &lexer::analyze(&text));
+            let found = rules::check_rust_file(&rel_str, &lines::line_view(&text));
             if rules::in_lib_src(&rel_str) {
                 lib_sources.push((rel_str.clone(), text));
             }

@@ -9,10 +9,11 @@
 //! argument.
 //!
 //! Items under `#[cfg(test)]` / `#[test]` are skipped entirely: test code
-//! is allowed to be impure, and excluding it here mirrors the line rules'
-//! test-region exemption.
+//! is allowed to be impure. The extent of a test item comes from
+//! `tokens::test_item_end`, the same rule that marks the line rules'
+//! test regions.
 
-use crate::tokens::{skip_balanced, tokenize, Tok, TokKind};
+use crate::tokens::{seek_body_or_semi, skip_balanced, test_item_end, tokenize, Body, Tok, TokKind};
 
 /// A single parsed source file.
 #[derive(Debug, Clone)]
@@ -146,7 +147,7 @@ pub fn module_of(path: &str) -> (String, String) {
 
 /// Parse one file into its `fn` items.
 pub fn parse_file(path: &str, src: &str) -> ParsedFile {
-    let toks = tokenize(src);
+    let toks: Vec<Tok> = tokenize(src).into_iter().filter(Tok::is_code).collect();
     let (krate, module) = module_of(path);
     let mut fns = Vec::new();
     parse_items(&toks, 0, toks.len(), &Ctx { path, krate: &krate, module, type_name: None }, &mut fns);
@@ -164,67 +165,23 @@ struct Ctx<'a> {
 /// `trait` bodies, collecting `fn` items into `out`.
 fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut Vec<FnItem>) {
     let mut i = start;
-    let mut skip_item = false; // a test attribute covers the next item
     while i < end {
         let t = &toks[i];
         match t.kind {
-            TokKind::Punct('#') => {
-                // Attribute: `#[...]` or `#![...]`.
-                let mut j = i + 1;
-                if j < end && toks[j].is_punct('!') {
-                    j += 1;
-                }
-                if j < end && toks[j].kind == TokKind::Open('[') {
-                    let close = skip_balanced(toks, j);
-                    if toks[j..close].iter().any(|t| t.is_ident("test")) {
-                        skip_item = true;
-                    }
-                    i = close;
-                } else {
-                    i += 1;
-                }
-            }
+            // Test code is allowed to be impure: skip the whole item.
+            TokKind::Punct('#') => i = test_item_end(toks, i, end).unwrap_or(i + 1),
             TokKind::Ident => match t.text.as_str() {
                 "mod" => {
                     let name = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident);
                     match seek_body_or_semi(toks, i + 1, end) {
                         Body::Braced(open) => {
                             let close = skip_balanced(toks, open);
-                            if !skip_item {
-                                if let Some(name) = name {
-                                    let sub = Ctx {
-                                        path: ctx.path,
-                                        krate: ctx.krate,
-                                        module: format!("{}::{}", ctx.module, name.text),
-                                        type_name: None,
-                                    };
-                                    parse_items(toks, open + 1, close - 1, &sub, out);
-                                }
-                            }
-                            i = close;
-                        }
-                        Body::Semi(after) => i = after,
-                    }
-                    skip_item = false;
-                }
-                "impl" | "trait" => {
-                    let is_trait = t.text == "trait";
-                    match seek_body_or_semi(toks, i + 1, end) {
-                        Body::Braced(open) => {
-                            let close = skip_balanced(toks, open);
-                            if !skip_item {
-                                let ty = if is_trait {
-                                    toks.get(i + 1)
-                                        .filter(|t| t.kind == TokKind::Ident)
-                                        .map(|t| t.text.clone())
-                                } else {
-                                    impl_target(&toks[i + 1..open])
-                                };
+                            if let Some(name) = name {
                                 let sub = Ctx {
                                     path: ctx.path,
                                     krate: ctx.krate,
-                                    module: ctx.module.clone(),
-                                    type_name: ty,
+                                    module: format!("{}::{}", ctx.module, name.text),
+                                    type_name: None,
                                 };
                                 parse_items(toks, open + 1, close - 1, &sub, out);
                             }
@@ -232,16 +189,34 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                         }
                         Body::Semi(after) => i = after,
                     }
-                    skip_item = false;
+                }
+                "impl" | "trait" => {
+                    let is_trait = t.text == "trait";
+                    match seek_body_or_semi(toks, i + 1, end) {
+                        Body::Braced(open) => {
+                            let close = skip_balanced(toks, open);
+                            let ty = if is_trait {
+                                toks.get(i + 1)
+                                    .filter(|t| t.kind == TokKind::Ident)
+                                    .map(|t| t.text.clone())
+                            } else {
+                                impl_target(&toks[i + 1..open])
+                            };
+                            let sub = Ctx {
+                                path: ctx.path,
+                                krate: ctx.krate,
+                                module: ctx.module.clone(),
+                                type_name: ty,
+                            };
+                            parse_items(toks, open + 1, close - 1, &sub, out);
+                            i = close;
+                        }
+                        Body::Semi(after) => i = after,
+                    }
                 }
                 "fn" => {
                     let (item, after) = parse_fn(toks, i, end, ctx);
-                    if !skip_item {
-                        if let Some(item) = item {
-                            out.push(item);
-                        }
-                    }
-                    skip_item = false;
+                    out.extend(item);
                     i = after;
                 }
                 // Items with bodies or terminators we step over wholesale.
@@ -261,7 +236,6 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                         Body::Braced(open) => i = skip_balanced(toks, open),
                         Body::Semi(after) => i = after,
                     }
-                    skip_item = false;
                 }
                 _ => i += 1,
             },
@@ -269,42 +243,6 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
             _ => i += 1,
         }
     }
-}
-
-enum Body {
-    /// Index of the `{` that opens the item body.
-    Braced(usize),
-    /// Index just past the `;` that ends a body-less item.
-    Semi(usize),
-}
-
-/// From `start`, find the item's `{` body or terminating `;`, skipping
-/// balanced `()`/`[]`/`<>` regions (generics, where-clause bounds).
-fn seek_body_or_semi(toks: &[Tok], start: usize, end: usize) -> Body {
-    let mut i = start;
-    let mut angle = 0i64;
-    while i < end {
-        match toks[i].kind {
-            TokKind::Open('{') if angle == 0 => return Body::Braced(i),
-            TokKind::Punct(';') if angle == 0 => return Body::Semi(i + 1),
-            TokKind::Open(_) => {
-                i = skip_balanced(toks, i);
-                continue;
-            }
-            TokKind::Punct('<') => {
-                // `->` never reaches here ('-' precedes), `<<` just nests.
-                angle += 1;
-            }
-            TokKind::Punct('>') => {
-                if angle > 0 {
-                    angle -= 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Body::Semi(end)
 }
 
 /// Target type of an `impl` header (the tokens between `impl` and `{`):

@@ -26,7 +26,7 @@
 //! * **everywhere** — all `.rs` files outside `#[cfg(test)]`/`#[test]`
 //!   regions, including benches and examples.
 
-use crate::lexer::Line;
+use crate::lines::Line;
 
 /// Rule identifiers, also the section names of `allowlist.toml`.
 pub const HERMETIC_DEPS: &str = "hermetic-deps";
@@ -445,10 +445,10 @@ pub fn check_manifest(path: &str, text: &str) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
+    use crate::lines::line_view;
 
     fn check(path: &str, src: &str) -> Vec<Violation> {
-        check_rust_file(path, &analyze(src))
+        check_rust_file(path, &line_view(src))
     }
 
     #[test]
@@ -462,6 +462,18 @@ mod tests {
             "#[cfg(test)]\nmod tests {\n fn t() { let r = thread_rng(); }\n}\n",
         );
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn test_attribute_on_a_body_less_item_covers_only_that_item() {
+        // The attribute ends at the item's `;`: the library fn after it is
+        // still linted, not swallowed as test code up to its `}`.
+        for attr in ["#[cfg(test)]\nuse std::fmt;\n", "#[cfg(test)]\nmod tests;\n"] {
+            let src = format!("{attr}\npub fn lib(x: Option<u8>) -> u8 {{\n    x.unwrap()\n}}\n");
+            let v = check("crates/core/src/a.rs", &src);
+            assert_eq!(v.len(), 1, "{src}: {v:?}");
+            assert_eq!((v[0].rule, v[0].line), (NO_UNWRAP, 5), "{src}");
+        }
     }
 
     #[test]

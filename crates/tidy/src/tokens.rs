@@ -1,11 +1,14 @@
-//! Whole-file tokenizer for the semantic pass.
+//! The one Rust lexer in `stem-tidy`.
 //!
-//! Unlike `lexer` (which splits each *line* into code/comment channels for
-//! the pattern rules), this module produces a flat token stream over the
-//! entire file: identifiers, single-character punctuation, literals and
-//! delimiters, each tagged with its 1-based source line. Comments are
-//! dropped; string/char literal bodies collapse into a single `Lit` token,
-//! so downstream parsing never confuses text inside a string for code.
+//! Produces a flat token stream over the entire file: identifiers,
+//! single-character punctuation, literals, delimiters, lifetimes and
+//! comments, each tagged with its 1-based source line and its byte span.
+//! Every non-whitespace byte belongs to exactly one token, so two views
+//! derive from the one stream: the item parser (`parse`) reads the code
+//! tokens (comments and lifetimes filtered out, string/char literal
+//! bodies collapsed into one `Lit`), and the per-line rules read the
+//! `lines` view rebuilt from the spans. Both decide what is test code with
+//! the same rule, [`test_item_end`].
 //!
 //! It is deliberately not a full Rust lexer — multi-character operators
 //! arrive as adjacent single `Punct` tokens and the parser matches the
@@ -13,6 +16,8 @@
 //! enough to audit while staying robust on every construct the workspace
 //! actually uses, including nested block comments, raw strings with hash
 //! runs, byte strings, raw identifiers and lifetimes.
+
+use std::ops::Range;
 
 /// Token kind. Delimiters are split out so the parser can do cheap
 /// balanced-region skips without re-inspecting punct characters.
@@ -28,6 +33,10 @@ pub enum TokKind {
     Open(char),
     /// `)`, `]` or `}`.
     Close(char),
+    /// A lifetime or loop label (`'a`, `'static`).
+    Lifetime,
+    /// A line, block or doc comment.
+    Comment,
 }
 
 /// One token with its source position.
@@ -38,6 +47,8 @@ pub struct Tok {
     pub text: String,
     /// 1-based line number of the token's first character.
     pub line: u32,
+    /// Byte range of the token in the source, prefixes and quotes included.
+    pub span: Range<usize>,
 }
 
 impl Tok {
@@ -50,30 +61,38 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct(c)
     }
+
+    /// False for comments and lifetimes, which the item parser never sees.
+    pub fn is_code(&self) -> bool {
+        !matches!(self.kind, TokKind::Comment | TokKind::Lifetime)
+    }
 }
 
-/// Tokenize a whole source file. Never fails: unrecognised bytes are
-/// skipped, unterminated literals simply run to end of input. The stream
-/// is best-effort by design — the semantic pass is a lint, not a compiler.
+/// Tokenize a whole source file. Never fails: unterminated literals and
+/// comments simply run to end of input. The stream is best-effort by
+/// design — the semantic pass is a lint, not a compiler.
 pub fn tokenize(src: &str) -> Vec<Tok> {
-    let chars: Vec<char> = src.chars().collect();
+    let (offsets, chars): (Vec<usize>, Vec<char>) = src.char_indices().unzip();
+    let byte = |i: usize| offsets.get(i).copied().unwrap_or(src.len());
     let mut toks: Vec<Tok> = Vec::new();
     let mut line: u32 = 1;
     let mut i = 0usize;
 
     while i < chars.len() {
-        let c = chars[i];
-        let next = chars.get(i + 1).copied();
-        match c {
-            '\n' => {
-                line += 1;
+        let (c, next) = (chars[i], chars.get(i + 1).copied());
+        let (start, start_line) = (i, line);
+        let mut text = String::new();
+        let kind = match c {
+            c if c.is_whitespace() => {
+                line += u32::from(c == '\n');
                 i += 1;
+                continue;
             }
-            c if c.is_whitespace() => i += 1,
             '/' if next == Some('/') => {
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
+                TokKind::Comment
             }
             '/' if next == Some('*') => {
                 let mut depth = 1u32;
@@ -93,10 +112,10 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     }
                     i += 1;
                 }
+                TokKind::Comment
             }
             'r' | 'b' if raw_string_hashes(&chars, i).is_some() => {
                 let (hashes, prefix) = raw_string_hashes(&chars, i).expect("checked");
-                let start = line;
                 i += prefix; // lands just past the opening quote
                 while i < chars.len() {
                     if chars[i] == '\n' {
@@ -107,63 +126,55 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     }
                     i += 1;
                 }
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                TokKind::Lit
             }
             'b' if next == Some('"') => {
-                let start = line;
                 i = consume_string(&chars, i + 2, &mut line);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                TokKind::Lit
             }
             'b' if next == Some('\'') => {
-                let start = line;
                 i = consume_char_lit(&chars, i + 2);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                TokKind::Lit
             }
             '"' => {
-                let start = line;
                 i = consume_string(&chars, i + 1, &mut line);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                TokKind::Lit
+            }
+            '\'' if is_char_literal(&chars, i) => {
+                i = consume_char_lit(&chars, i + 1);
+                TokKind::Lit
             }
             '\'' => {
-                if is_char_literal(&chars, i) {
-                    toks.push(Tok { kind: TokKind::Lit, text: String::new(), line });
-                    i = consume_char_lit(&chars, i + 1);
-                } else {
-                    // Lifetime: skip the quote and the label identifier.
-                    i += 1;
-                    while i < chars.len() && is_ident_char(chars[i]) {
-                        i += 1;
-                    }
-                }
+                i = take_ident(&chars, i + 1).1;
+                TokKind::Lifetime
             }
             'r' if next == Some('#') && chars.get(i + 2).is_some_and(|&c| is_ident_start(c)) => {
                 // Raw identifier `r#type`: token text drops the prefix.
-                let (text, end) = take_ident(&chars, i + 2);
-                toks.push(Tok { kind: TokKind::Ident, text, line });
-                i = end;
+                (text, i) = take_ident(&chars, i + 2);
+                TokKind::Ident
             }
             c if is_ident_start(c) => {
-                let (text, end) = take_ident(&chars, i);
-                toks.push(Tok { kind: TokKind::Ident, text, line });
-                i = end;
+                (text, i) = take_ident(&chars, i);
+                TokKind::Ident
             }
             c if c.is_ascii_digit() => {
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line });
                 i = consume_number(&chars, i);
+                TokKind::Lit
             }
             '(' | '[' | '{' => {
-                toks.push(Tok { kind: TokKind::Open(c), text: String::new(), line });
                 i += 1;
+                TokKind::Open(c)
             }
             ')' | ']' | '}' => {
-                toks.push(Tok { kind: TokKind::Close(c), text: String::new(), line });
                 i += 1;
+                TokKind::Close(c)
             }
             c => {
-                toks.push(Tok { kind: TokKind::Punct(c), text: String::new(), line });
                 i += 1;
+                TokKind::Punct(c)
             }
-        }
+        };
+        toks.push(Tok { kind, text, line: start_line, span: byte(start)..byte(i) });
     }
     toks
 }
@@ -236,8 +247,7 @@ fn consume_char_lit(chars: &[char], mut i: usize) -> usize {
     i
 }
 
-/// Same heuristic as `lexer::is_char_literal`: `'x'` / `'\n'` are literals,
-/// `'static` is a lifetime.
+/// `'x'` / `'\n'` are char literals, `'static` is a lifetime.
 fn is_char_literal(chars: &[char], i: usize) -> bool {
     match chars.get(i + 1) {
         Some('\\') => true,
@@ -290,6 +300,61 @@ pub fn skip_balanced(toks: &[Tok], open_idx: usize) -> usize {
         i += 1;
     }
     toks.len()
+}
+
+/// Where an item ends, as found by [`seek_body_or_semi`].
+#[derive(Debug)]
+pub enum Body {
+    /// Index of the `{` that opens the item body.
+    Braced(usize),
+    /// Index just past the `;` that ends a body-less item.
+    Semi(usize),
+}
+
+/// From `start`, find the item's `{` body or terminating `;`, skipping
+/// balanced `()`/`[]`/`<>` regions (generics, where-clause bounds).
+pub fn seek_body_or_semi(toks: &[Tok], start: usize, end: usize) -> Body {
+    let mut i = start;
+    let mut angle = 0i64;
+    while i < end {
+        match toks[i].kind {
+            TokKind::Open('{') if angle == 0 => return Body::Braced(i),
+            TokKind::Punct(';') if angle == 0 => return Body::Semi(i + 1),
+            TokKind::Open(_) => {
+                i = skip_balanced(toks, i);
+                continue;
+            }
+            TokKind::Punct('<') => {
+                // `->` never reaches here ('-' precedes), `<<` just nests.
+                angle += 1;
+            }
+            TokKind::Punct('>') if angle > 0 => angle -= 1,
+            _ => {}
+        }
+        i += 1;
+    }
+    Body::Semi(end)
+}
+
+/// The test-region rule: when the code tokens at `i` open a `#[test]` or
+/// `#[cfg(test)]` attribute, the attribute covers the next item through
+/// its closing `}` or `;`, and this returns the index just past that item
+/// (bounded by `end`). `None` for any other token.
+pub fn test_item_end(toks: &[Tok], i: usize, end: usize) -> Option<usize> {
+    if !toks[i].is_punct('#') || toks.get(i + 1)?.kind != TokKind::Open('[') {
+        return None;
+    }
+    let close = skip_balanced(toks, i + 1);
+    let attr = &toks[i + 2..close.saturating_sub(1).max(i + 2)];
+    let is_test = match attr {
+        [t] => t.is_ident("test"),
+        [cfg, open, t, _] => cfg.is_ident("cfg") && open.kind == TokKind::Open('(') && t.is_ident("test"),
+        _ => false,
+    };
+    is_test.then(|| match seek_body_or_semi(toks, close, end) {
+        Body::Braced(open) => skip_balanced(toks, open),
+        Body::Semi(after) => after,
+    })
 }
 
 #[cfg(test)]
